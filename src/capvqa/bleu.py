@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ngrams import MAX_ORDER, clipped_matches, extract_ngrams
+from .ngrams import MAX_ORDER, clipped_counts, ngram_table
 
 ZERO_PRECISION_POLICIES = ("hard-zero", "epsilon")
 EPSILON_FLOOR = 1e-9
@@ -64,15 +64,16 @@ def bleu4(
         return BleuBreakdown(precisions=(0.0,) * 4, brevity_penalty=0.0, score=0.0)
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
 
+    cand_table = ngram_table(candidate)
+    ref_tables = [ngram_table(ref) for ref in references]
     precisions = []
     for n in range(1, MAX_ORDER + 1):
-        cand_counts = extract_ngrams(candidate, n)
-        total = cand_counts.total()
+        cand_counts = cand_table[n - 1]
+        total = sum(cand_counts.values())
         if total == 0:
             p = 0.0
         else:
-            ref_counts = [extract_ngrams(ref, n) for ref in references]
-            p = clipped_matches(cand_counts, ref_counts) / total
+            p = clipped_counts(cand_counts, [table[n - 1] for table in ref_tables]) / total
         if p == 0.0 and zero_policy == "epsilon":
             p = EPSILON_FLOOR
         precisions.append(p)

@@ -18,10 +18,11 @@ evaluation corpus once, then score any number of candidates against it
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .ngrams import MAX_ORDER, extract_ngrams
+from .ngrams import MAX_ORDER, extract_ngrams, ngram_table, windows
 
 DEFAULT_SCALE = 10.0
 
@@ -32,10 +33,17 @@ class CiderCorpusIdf:
 
     num_docs: int
     df: Mapping[int, Mapping[tuple, int]] = field(repr=False)
+    # ln(num_docs / df) per distinct df value, computed once, not per lookup
+    log_idf: Mapping[int, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        values = {1}.union(*(order.values() for order in self.df.values()))
+        object.__setattr__(
+            self, "log_idf", {df: math.log(self.num_docs / df) for df in values}
+        )
 
     def idf(self, gram: tuple) -> float:
-        df = self.df[len(gram)].get(gram, 1)
-        return math.log(self.num_docs / df)
+        return self.log_idf[self.df[len(gram)].get(gram, 1)]
 
 
 @dataclass
@@ -53,27 +61,30 @@ def compute_idf(corpus: Sequence[Sequence[Sequence[str]]]) -> CiderCorpusIdf:
     """
     if not corpus:
         raise ValueError("cider idf requires a non-empty corpus")
-    df: dict[int, dict[tuple, int]] = {n: {} for n in range(1, MAX_ORDER + 1)}
+    df: dict[int, Counter] = {n: Counter() for n in range(1, MAX_ORDER + 1)}
     for references in corpus:
         for n in range(1, MAX_ORDER + 1):
             seen = set()
             for reference in references:
-                seen.update(extract_ngrams(reference, n).counts)
-            for gram in seen:
-                df[n][gram] = df[n].get(gram, 0) + 1
+                seen.update(windows(reference, n))
+            df[n].update(seen)
     return CiderCorpusIdf(num_docs=len(corpus), df=df)
+
+
+def _tfidf(counts: Counter, n: int, idf: CiderCorpusIdf) -> dict[tuple, float]:
+    total = sum(counts.values())
+    if total == 0:
+        return {}
+    df, log_idf = idf.df[n], idf.log_idf
+    return {
+        gram: (count / total) * log_idf[df.get(gram, 1)]
+        for gram, count in counts.items()
+    }
 
 
 def tfidf_vector(tokens: Sequence[str], n: int, idf: CiderCorpusIdf) -> dict[tuple, float]:
     """Sparse TF-IDF vector over the order-n n-grams of one caption."""
-    counts = extract_ngrams(tokens, n)
-    total = counts.total()
-    if total == 0:
-        return {}
-    return {
-        gram: (count / total) * idf.idf(gram)
-        for gram, count in counts.counts.items()
-    }
+    return _tfidf(extract_ngrams(tokens, n).counts, n, idf)
 
 
 def _cosine(a: Mapping[tuple, float], b: Mapping[tuple, float]) -> float:
@@ -101,12 +112,18 @@ def cider(
     """
     if not references:
         raise ValueError("cider requires at least one reference")
+    if length_penalty_sigma is not None and not length_penalty_sigma > 0.0:
+        raise ValueError(
+            f"length_penalty_sigma must be positive, got {length_penalty_sigma}"
+        )
+    cand_table = ngram_table(candidate)
+    ref_tables = [ngram_table(reference) for reference in references]
     per_n = []
     for n in range(1, MAX_ORDER + 1):
-        cand_vec = tfidf_vector(candidate, n, idf)
+        cand_vec = _tfidf(cand_table[n - 1], n, idf)
         sims = []
-        for reference in references:
-            sim = _cosine(cand_vec, tfidf_vector(reference, n, idf))
+        for reference, ref_table in zip(references, ref_tables):
+            sim = _cosine(cand_vec, _tfidf(ref_table[n - 1], n, idf))
             if length_penalty_sigma is not None:
                 delta = len(candidate) - len(reference)
                 sim *= math.exp(-(delta * delta) / (2.0 * length_penalty_sigma**2))

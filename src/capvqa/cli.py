@@ -16,6 +16,7 @@ byte-identical output regardless of worker count.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -29,10 +30,25 @@ WORKERS_ENV_VAR = "CAPVQA_WORKERS"
 
 
 def _default_workers() -> int:
+    # One worker unless asked: under the GIL the thread pool only adds overhead.
     env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
+    if not env:
+        return 1
+    try:
         return int(env)
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
+
+
+def _positive_finite(text: str) -> float:
+    """argparse type for a flag that must be a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _add_caption_flags(parser: argparse.ArgumentParser):
@@ -55,13 +71,13 @@ def _add_caption_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--meteor-gamma", type=float, default=0.5)
     parser.add_argument(
         "--cider-scale",
-        type=float,
+        type=_positive_finite,
         default=10.0,
         help="display scale applied to the consensus metric (default: %(default)s)",
     )
     parser.add_argument(
         "--cider-length-penalty-sigma",
-        type=float,
+        type=_positive_finite,
         default=None,
         help="enable the Gaussian length penalty variant with this sigma",
     )
@@ -69,7 +85,8 @@ def _add_caption_flags(parser: argparse.ArgumentParser):
         "--workers",
         type=int,
         default=None,
-        help=f"scoring worker count (default: ${WORKERS_ENV_VAR} or cpu count)",
+        help=f"scoring threads; more than one is slower for pure-Python scoring "
+        f"(default: ${WORKERS_ENV_VAR} or 1)",
     )
 
 

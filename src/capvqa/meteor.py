@@ -12,6 +12,18 @@ the number of distinct max-cardinality matchings stays within
 `max_search` (default 10_000); beyond that a deterministic left-to-right
 greedy pass is used that prefers reference positions extending the
 current chunk.
+
+The exhaustive search walks the candidate left to right over every
+max-cardinality matching and no other: a word with c candidate and r
+reference occurrences leaves exactly c - min(c, r) candidate occurrences
+unmatched, so a position may stay unmatched only while its word has such
+slack left. A position with one possible move (a word the reference
+lacks, or no slack and one free reference occurrence) is taken in place;
+only real choices recurse, and every branch ends in a matching. Chunks
+are counted as pairs are added and never decrease along a path, so a
+path whose chunks so far, plus the chunks later positions must open in
+any matching, reach the best found is dropped. The result equals a full
+enumeration's.
 """
 
 import math
@@ -57,17 +69,6 @@ class MeteorBreakdown:
     score: float
 
 
-def _count_chunks(pairs: Sequence[tuple[int, int]]) -> int:
-    # pairs are (candidate_pos, reference_pos), sorted by candidate_pos
-    if not pairs:
-        return 0
-    chunks = 1
-    for (c0, r0), (c1, r1) in zip(pairs, pairs[1:]):
-        if c1 != c0 + 1 or r1 != r0 + 1:
-            chunks += 1
-    return chunks
-
-
 def _matching_count(candidate: Sequence[str], reference: Sequence[str], cap: int) -> int:
     """Number of distinct max-cardinality matchings, saturating at cap + 1."""
     cand_counts = Counter(candidate)
@@ -88,48 +89,80 @@ def _align_exhaustive(candidate: Sequence[str], reference: Sequence[str]) -> tup
     ref_positions = defaultdict(list)
     for j, tok in enumerate(reference):
         ref_positions[tok].append(j)
-    target = sum((Counter(candidate) & Counter(reference)).values())
+    # Candidate positions whose word the reference has; every other
+    # position is left unmatched in every matching.
+    positions = [i for i, tok in enumerate(candidate) if tok in ref_positions]
+    # A max matching pairs min(c, r) occurrences of each word, so exactly
+    # c - min(c, r) of its c candidate occurrences stay unmatched.
+    slack = {
+        tok: count - min(count, len(ref_positions[tok]))
+        for tok, count in Counter(candidate[i] for i in positions).items()
+    }
+    target = len(positions) - sum(slack.values())
     if target == 0:
         return 0, 0
 
     used = [False] * len(reference)
-    unused_ref = Counter(reference)
-    cand_remaining = Counter(candidate)
-    pairs: list[tuple[int, int]] = []
-    best_chunks = len(candidate) + 1
+    best = target + 1  # a matching has at most as many chunks as pairs
+    last = len(positions) - 1
+    # follows[k]: positions[k + 1] is the candidate position right after positions[k]
+    follows = [positions[k + 1] == positions[k] + 1 for k in range(last)] + [False]
+    ref_bigrams = set(zip(reference, reference[1:]))
+    # starts[k]: chunks that positions[k:] open in every matching -- those
+    # of words with no slack whose bigram with the previous candidate word
+    # is absent from the reference, so they can never extend a chunk
+    starts = [0] * (last + 2)
+    for k in range(last, -1, -1):
+        i = positions[k]
+        isolated = i == 0 or (candidate[i - 1], candidate[i]) not in ref_bigrams
+        starts[k] = starts[k + 1] + (isolated and not slack[candidate[i]])
 
-    def reachable(matched: int) -> bool:
-        potential = sum(
-            min(count, unused_ref[word])
-            for word, count in cand_remaining.items()
-            if word in ref_positions
-        )
-        return matched + potential >= target
+    def search(k: int, extend: int, chunks: int) -> None:
+        # Decide positions[k:]. `extend` is the reference position that
+        # continues the current chunk at candidate position positions[k]
+        # (-1 if none), `chunks` the count so far, which no later choice
+        # lowers, so a path at `best` chunks or more is dropped.
+        nonlocal best
+        undo = []
+        while chunks + starts[k] < best:
+            if k > last:
+                best = chunks
+                break
+            tok = candidate[positions[k]]
+            free = [j for j in ref_positions[tok] if not used[j]]
+            if len(free) + (slack[tok] > 0) > 1:
+                if extend in free:  # the chunk-extending pair first: it finds low counts early
+                    free.remove(extend)
+                    free.insert(0, extend)
+                for j in free:
+                    used[j] = True
+                    search(k + 1, j + 1 if follows[k] else -1, chunks + (j != extend))
+                    used[j] = False
+                if slack[tok]:
+                    slack[tok] -= 1
+                    search(k + 1, -1, chunks)
+                    slack[tok] += 1
+                break
+            # One move only: take it in this frame instead of branching.
+            if free:
+                j = free[0]
+                used[j] = True
+                chunks += j != extend
+                extend = j + 1 if follows[k] else -1
+            else:
+                j = -1
+                slack[tok] -= 1
+                extend = -1
+            undo.append((tok, j))
+            k += 1
+        for tok, j in undo:
+            if j < 0:
+                slack[tok] += 1
+            else:
+                used[j] = False
 
-    def dfs(i: int, matched: int):
-        nonlocal best_chunks
-        if not reachable(matched):
-            return
-        if i == len(candidate):
-            best_chunks = min(best_chunks, _count_chunks(pairs))
-            return
-        tok = candidate[i]
-        cand_remaining[tok] -= 1
-        for j in ref_positions.get(tok, ()):
-            if used[j]:
-                continue
-            used[j] = True
-            unused_ref[tok] -= 1
-            pairs.append((i, j))
-            dfs(i + 1, matched + 1)
-            pairs.pop()
-            unused_ref[tok] += 1
-            used[j] = False
-        dfs(i + 1, matched)  # leave position i unmatched
-        cand_remaining[tok] += 1
-
-    dfs(0, 0)
-    return target, best_chunks
+    search(0, -1, 0)
+    return target, best
 
 
 def _align_greedy(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int, int]:

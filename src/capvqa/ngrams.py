@@ -2,7 +2,8 @@
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 MAX_ORDER = 4
 
@@ -18,6 +19,12 @@ class NGramCounts:
         return sum(self.counts.values())
 
 
+def windows(tokens: Sequence[str], n: int) -> Iterator[tuple]:
+    """Every n-token window of `tokens`, in order, as a tuple."""
+    # zipping n shifted slices builds each window in C, not in a Python loop
+    return zip(*(tokens[k:] for k in range(n)))
+
+
 def extract_ngrams(tokens: Sequence[str], n: int) -> NGramCounts:
     """Count every n-token window with multiplicity.
 
@@ -25,10 +32,35 @@ def extract_ngrams(tokens: Sequence[str], n: int) -> NGramCounts:
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"n-gram order must be in [1, {MAX_ORDER}], got {n}")
-    counts = Counter(
-        tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
-    )
-    return NGramCounts(order=n, counts=counts)
+    return NGramCounts(order=n, counts=Counter(windows(tokens, n)))
+
+
+class Tokens(tuple):
+    """A token sequence that counts its 1-4-grams once, on first use.
+
+    BLEU and CIDEr both read `ngrams`. A scoring unit wraps its candidate
+    and its reference in one of these, so the two metrics share one table
+    per caption, and the table is dropped with the unit.
+    """
+
+    @cached_property
+    def ngrams(self) -> tuple[Counter, ...]:
+        """Window counts by order: index n - 1 holds the order-n counts."""
+        return tuple(Counter(windows(self, n)) for n in range(1, MAX_ORDER + 1))
+
+
+def ngram_table(tokens: Sequence[str]) -> tuple[Counter, ...]:
+    """The 1-4-gram counts of `tokens`, counted once per `Tokens` object."""
+    return (tokens if isinstance(tokens, Tokens) else Tokens(tokens)).ngrams
+
+
+def clipped_counts(candidate: Counter, references: Sequence[Counter]) -> int:
+    """`clipped_matches` over bare counts of one order."""
+    ceiling: dict[tuple, int] = {}
+    for ref in references:
+        for gram in candidate.keys() & ref.keys():
+            ceiling[gram] = max(ceiling.get(gram, 0), ref[gram])
+    return sum(min(candidate[gram], best) for gram, best in ceiling.items())
 
 
 def clipped_matches(candidate: NGramCounts, references: Sequence[NGramCounts]) -> int:
@@ -44,8 +76,4 @@ def clipped_matches(candidate: NGramCounts, references: Sequence[NGramCounts]) -
                 f"order mismatch: candidate has {candidate.order}, "
                 f"reference has {ref.order}"
             )
-    matched = 0
-    for gram, count in candidate.counts.items():
-        best = max((ref.counts.get(gram, 0) for ref in references), default=0)
-        matched += min(count, best)
-    return matched
+    return clipped_counts(candidate.counts, [ref.counts for ref in references])

@@ -27,19 +27,28 @@ class RougeBreakdown:
 
 
 def lcs_length(x: Sequence[str], y: Sequence[str]) -> int:
-    """Longest common subsequence length, O(len(x)*len(y)) time, O(min) space."""
+    """Longest common subsequence length, bit-parallel.
+
+    The bit-vector recurrence of Allison & Dix (1986), in Hyyro's (2004)
+    form: one Python int holds a bit per token of the shorter sequence,
+    and each token of the longer one updates it with an add, a subtract
+    and two bitwise operations. That is O(len(x) * ceil(min / w)) word
+    operations for machine word size w, O(min) space, and the same
+    integer as the quadratic dynamic program.
+    """
     if len(x) < len(y):
         x, y = y, x
-    previous = [0] * (len(y) + 1)
-    for xi in x:
-        current = [0]
-        for j, yj in enumerate(y, start=1):
-            if xi == yj:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
+    masks: dict[str, int] = {}
+    for j, token in enumerate(y):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = (1 << len(y)) - 1
+    v = full  # a zero bit at j marks where the LCS so far grows
+    for token in x:
+        mask = masks.get(token)
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return len(y) - v.bit_count()
 
 
 def rouge_l(

@@ -24,6 +24,7 @@ from .composite import SplitScores
 from .dataset_io import PHASES, SPLITS, PredictionSet, ScenarioSet
 from .meteor import DEFAULT_PARAMS as DEFAULT_METEOR_PARAMS
 from .meteor import MeteorParams, meteor
+from .ngrams import Tokens
 from .rouge import rouge_l
 from .text_norm import DEFAULT_TOKENIZER, TokenizerConfig, tokenize
 
@@ -100,16 +101,18 @@ def _collect_units(
 
 
 def _score_unit(unit: _Unit, idf: CiderCorpusIdf, config: ScoringConfig) -> SegmentScore:
-    references = [unit.reference]
+    # BLEU and CIDEr share one n-gram table per caption, freed with the unit
+    candidate, reference = Tokens(unit.candidate), Tokens(unit.reference)
+    references = [reference]
     return SegmentScore(
         scenario_id=unit.scenario_id,
         phase=unit.phase,
         perspective=unit.perspective,
-        bleu4=bleu4(unit.candidate, references, config.bleu_zero_policy).score,
-        meteor=meteor(unit.candidate, references, config.meteor_params).score,
-        rouge_l=rouge_l(unit.candidate, unit.reference, config.rouge_convention).score,
+        bleu4=bleu4(candidate, references, config.bleu_zero_policy).score,
+        meteor=meteor(candidate, references, config.meteor_params).score,
+        rouge_l=rouge_l(candidate, reference, config.rouge_convention).score,
         cider=cider(
-            unit.candidate,
+            candidate,
             references,
             idf,
             scale=config.cider_scale,

@@ -84,15 +84,18 @@ def normalize_answer(raw: str, options: Sequence[str]) -> int | None:
     """
     if not options:
         raise ValueError("normalize_answer requires a non-empty option list")
+    return _resolve(raw, [_normalize_tokens(opt) for opt in options])
 
+
+def _resolve(raw: str, normalized_options: Sequence[tuple[str, ...]]) -> int | None:
+    """`normalize_answer` against options already passed through `_normalize_tokens`."""
     match = _CHOICE_LETTER.match(raw)
     if match:
         index = ord(match.group(1).upper()) - ord("A")
-        if index < len(options):
+        if index < len(normalized_options):
             return index
 
     raw_tokens = _normalize_tokens(raw)
-    normalized_options = [_normalize_tokens(opt) for opt in options]
     for index, opt_tokens in enumerate(normalized_options):
         if raw_tokens == opt_tokens:
             return index
@@ -154,7 +157,7 @@ def accuracy(
         raw = by_id.get(item.id)
         if raw is None:
             continue
-        if normalize_answer(raw, item.options) == item.gold:
+        if _resolve(raw, item._normalized_options) == item.gold:
             correct += 1
     total = len(items)
     return AccuracyResult(total=total, correct=correct, acc=Fraction(correct, total))

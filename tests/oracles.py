@@ -83,6 +83,20 @@ def lcs_brute_force(x, y):
     return best
 
 
+def lcs_dp(x, y):
+    """Longest common subsequence length by the quadratic dynamic program."""
+    previous = [0] * (len(y) + 1)
+    for xi in x:
+        current = [0]
+        for j, yj in enumerate(y, start=1):
+            if xi == yj:
+                current.append(previous[j - 1] + 1)
+            else:
+                current.append(max(previous[j], current[j - 1]))
+        previous = current
+    return previous[-1]
+
+
 def rouge_l_reference(candidate_tokens, reference_tokens):
     """Paper-convention ROUGE-L via the algebraic closed form."""
     if not candidate_tokens or not reference_tokens:

@@ -144,3 +144,10 @@ def test_length_penalty_flag():
     short = cider(["a", "b"], refs, idf)
     penalized = cider(["a", "b"], refs, idf, length_penalty_sigma=6.0)
     assert penalized.score == pytest.approx(short.score * math.exp(-4 / 72), abs=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+def test_length_penalty_sigma_must_be_positive(sigma):
+    refs = [["a", "b"]]
+    with pytest.raises(ValueError, match="length_penalty_sigma"):
+        cider(["a"], refs, compute_idf([refs]), length_penalty_sigma=sigma)

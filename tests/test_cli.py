@@ -260,6 +260,41 @@ def test_workers_env_override(fixtures_dir, capsys, monkeypatch):
     assert capsys.readouterr().out == golden
 
 
+def test_default_worker_count_is_one(monkeypatch):
+    monkeypatch.delenv(cli.WORKERS_ENV_VAR, raising=False)
+    assert cli._default_workers() == 1
+
+
+def test_non_integer_workers_env_exits_2(fixtures_dir, capsys, monkeypatch):
+    monkeypatch.setenv(cli.WORKERS_ENV_VAR, "abc")
+    assert cli.main(_score_all_args(fixtures_dir)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cli.WORKERS_ENV_VAR} must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--cider-length-penalty-sigma", "0"),
+        ("--cider-length-penalty-sigma", "-2"),
+        ("--cider-length-penalty-sigma", "inf"),
+        ("--cider-scale", "nan"),
+        ("--cider-scale", "0"),
+        ("--cider-scale", "ten"),
+    ],
+)
+def test_cider_flags_must_be_finite_and_positive(fixtures_dir, capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(_score_all_args(fixtures_dir, flag, value))
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument {flag}: must be a finite number > 0, got {value!r}\n"
+    )
+    assert "Traceback" not in captured.err
+
+
 def test_output_flag_writes_file(tmp_path, fixtures_dir, capsys):
     out = tmp_path / "report.md"
     assert cli.main(_score_all_args(fixtures_dir, "--output", str(out))) == 0

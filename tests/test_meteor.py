@@ -1,9 +1,11 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 
 import oracles
-from capvqa.meteor import MeteorParams, align, meteor
+from capvqa.meteor import DEFAULT_MAX_SEARCH, MeteorParams, align, meteor
 
 # Hand-applied formula values, confirmed by oracles.meteor_reference:
 # identity of length 3 -> 1 - 0.5*(1/3)**3 = 53/54; fully scrambled -> 0.5;
@@ -101,6 +103,40 @@ def test_align_matches_exhaustive_enumeration():
     for _ in range(500):
         cand = [rng.choice("abc") for _ in range(rng.randint(0, 8))]
         ref = [rng.choice("abc") for _ in range(rng.randint(0, 8))]
+        result = align(cand, ref)
+        assert (result.matches, result.chunks) == oracles.best_alignment_brute_force(
+            cand, ref
+        )
+
+
+def _max_matchings(cand, ref):
+    # per word: which candidate and which reference occurrences pair up, and how
+    counts = Counter(ref)
+    total = 1
+    for word, c in Counter(cand).items():
+        m = min(c, counts[word])
+        total *= math.comb(c, m) * math.comb(counts[word], m) * math.factorial(m)
+    return total
+
+
+def _repetitive_caption(rng, repeated):
+    return [
+        rng.choice(repeated) if rng.random() < 0.5 else f"w{rng.randint(0, 30)}"
+        for _ in range(rng.randint(8, 24))
+    ]
+
+
+def test_align_matches_exhaustive_enumeration_on_repetitive_pairs():
+    # a few words repeated among distinct filler, up to the 10,000-matching
+    # gate below which align must return the exhaustive optimum
+    rng = random.Random(321)
+    checked = 0
+    while checked < 30:
+        repeated = rng.sample("abcdef", 3)
+        cand, ref = _repetitive_caption(rng, repeated), _repetitive_caption(rng, repeated)
+        if not 500 <= _max_matchings(cand, ref) <= DEFAULT_MAX_SEARCH:
+            continue
+        checked += 1
         result = align(cand, ref)
         assert (result.matches, result.chunks) == oracles.best_alignment_brute_force(
             cand, ref

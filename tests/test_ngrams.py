@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from capvqa.ngrams import clipped_matches, extract_ngrams
+from capvqa.ngrams import Tokens, clipped_matches, extract_ngrams, ngram_table
 
 
 def test_unigram_counts():
@@ -68,3 +68,19 @@ def test_clipped_bounds_and_self_saturation():
         matched = clipped_matches(cand, [extract_ngrams(ref_tokens, n)])
         assert 0 <= matched <= cand.total()
         assert clipped_matches(cand, [cand]) == cand.total()
+
+
+def test_ngram_table_matches_extract_ngrams():
+    rng = random.Random(5)
+    for _ in range(100):
+        tokens = [rng.choice("abc") for _ in range(rng.randint(0, 12))]
+        table = ngram_table(tokens)
+        assert len(table) == 4
+        for n in range(1, 5):
+            assert table[n - 1] == extract_ngrams(tokens, n).counts
+
+
+def test_tokens_count_their_ngrams_once():
+    tokens = Tokens(["a", "b", "a"])
+    assert tokens == ("a", "b", "a")
+    assert ngram_table(tokens) is ngram_table(tokens)

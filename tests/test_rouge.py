@@ -86,3 +86,23 @@ def test_lcs_matches_brute_force_enumeration():
         x = [rng.choice("abc") for _ in range(rng.randint(0, 10))]
         y = [rng.choice("abc") for _ in range(rng.randint(0, 10))]
         assert lcs_length(x, y) == oracles.lcs_brute_force(x, y)
+
+
+def test_lcs_matches_quadratic_dp():
+    # lengths past 64 cross a machine word in the bit-vector recurrence;
+    # small alphabets give long, ambiguous common subsequences
+    rng = random.Random(23)
+    for _ in range(200):
+        alphabet = "abcd"[: rng.randint(2, 4)]
+        x = [rng.choice(alphabet) for _ in range(rng.randint(0, 150))]
+        y = [rng.choice(alphabet) for _ in range(rng.randint(0, 150))]
+        assert lcs_length(x, y) == oracles.lcs_dp(x, y) == lcs_length(y, x)
+
+
+def test_lcs_of_a_sequence_with_its_own_subsequence():
+    rng = random.Random(24)
+    for length in (63, 64, 65, 128, 150):
+        x = [rng.choice("ab") for _ in range(length)]
+        sub = [tok for tok in x if rng.random() < 0.5]
+        assert lcs_length(x, sub) == len(sub)
+        assert lcs_length(x, x) == length

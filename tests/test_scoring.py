@@ -1,0 +1,52 @@
+import pytest
+
+from capvqa import bleu4, cider, compute_idf, meteor, rouge_l, tokenize
+from capvqa.dataset_io import load_ground_truth, load_predictions
+from capvqa.scoring import ScoringConfig, score_captions
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ScoringConfig(),
+        ScoringConfig(
+            bleu_zero_policy="epsilon",
+            rouge_convention="recall-weighted",
+            cider_scale=1.0,
+            cider_length_penalty_sigma=3.0,
+        ),
+    ],
+)
+def test_segments_equal_direct_metric_calls(fixtures_dir, config):
+    # score_captions shares one n-gram table per caption between BLEU and
+    # CIDEr; each segment must still equal the public metric functions
+    gt = load_ground_truth(fixtures_dir / "captions_gt.json")
+    pred = load_predictions(fixtures_dir / "captions_pred.json")
+    captions = {
+        (s.id, g.phase, p): getattr(g, f"{p}_caption")
+        for s in pred.scenarios for g in s.segments for p in ("pedestrian", "vehicle")
+    }
+    split_of = {s.id: s.split for s in gt.scenarios}
+    references = {
+        (s.id, g.phase, p): tokenize(getattr(g, f"{p}_caption"))
+        for s in gt.scenarios for g in s.segments for p in ("pedestrian", "vehicle")
+    }
+    idf = {
+        split: compute_idf([[ref] for key, ref in references.items() if split_of[key[0]] == split])
+        for split in ("internal", "external")
+    }
+    segments = score_captions(gt, pred, config).segments
+    assert len(segments) == len(references)
+    for segment in segments:
+        key = (segment.scenario_id, segment.phase, segment.perspective)
+        candidate, reference = tokenize(captions.get(key, "")), references[key]
+        assert segment.bleu4 == bleu4(candidate, [reference], config.bleu_zero_policy).score
+        assert segment.meteor == meteor(candidate, [reference], config.meteor_params).score
+        assert segment.rouge_l == rouge_l(candidate, reference, config.rouge_convention).score
+        assert segment.cider == cider(
+            candidate,
+            [reference],
+            idf[split_of[segment.scenario_id]],
+            scale=config.cider_scale,
+            length_penalty_sigma=config.cider_length_penalty_sigma,
+        ).score

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from capvqa import vqa
 from capvqa.errors import SchemaError, ValidationFailure
 from capvqa.vqa import (
     NO_ANSWER,
@@ -107,6 +108,19 @@ def test_three_of_five_correct():
     result = accuracy(items, predictions)
     assert result.acc == Fraction(3, 5)
     assert result.acc_float == 0.6
+
+
+def test_accuracy_normalizes_each_option_once(monkeypatch):
+    items = [_item(f"q{i}", gold=2) for i in range(5)]
+    answers = ["the light was red", "I think nothing happened", "C", "???", "the vehicle stopped"]
+    predictions = [VqaPrediction(f"q{i}", raw) for i, raw in enumerate(answers)]
+    expected = sum(normalize_answer(raw, OPTIONS) == 2 for raw in answers)
+    calls = []
+    original = vqa._normalize_tokens
+    monkeypatch.setattr(vqa, "_normalize_tokens", lambda text: calls.append(text) or original(text))
+    assert accuracy(items, predictions).correct == expected == 2
+    # options were normalized when the items were built; only free-text answers are now
+    assert sorted(calls) == sorted(raw for raw in answers if raw != "C")
 
 
 def test_missing_counts_as_wrong_by_default():
