@@ -5,7 +5,6 @@ accuracy, and the composite leaderboard score, plus the low-rank adapter
 and log-likelihood arithmetic behind the models being scored.
 """
 
-from .adaptation import LowRankAdapter, SegmentedSample, caption_nll, lora_merge, vqa_nll
 from .bleu import BleuBreakdown, bleu4
 from .cider import CiderBreakdown, CiderCorpusIdf, cider, compute_idf, tfidf_vector
 from .composite import FinalScore, SplitScores, aggregate_splits, cap_score, s2
@@ -29,6 +28,20 @@ from .text_norm import TokenizerConfig, tokenize
 from .vqa import NO_ANSWER, AccuracyResult, VqaItem, VqaPrediction, accuracy, normalize_answer
 
 __version__ = "0.1.0"
+
+# `adaptation` needs numpy, which the scoring CLI never uses, so its names
+# are imported on first access (PEP 562) rather than with the package.
+_ADAPTATION_NAMES = frozenset(
+    {"LowRankAdapter", "SegmentedSample", "caption_nll", "lora_merge", "vqa_nll"}
+)
+
+
+def __getattr__(name):
+    if name in _ADAPTATION_NAMES:
+        from . import adaptation
+
+        return getattr(adaptation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AccuracyResult",

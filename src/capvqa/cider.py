@@ -112,6 +112,8 @@ def cider(
     """
     if not references:
         raise ValueError("cider requires at least one reference")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be a finite number > 0, got {scale}")
     if length_penalty_sigma is not None and not length_penalty_sigma > 0.0:
         raise ValueError(
             f"length_penalty_sigma must be positive, got {length_penalty_sigma}"

@@ -22,7 +22,7 @@ by `validate`, so partial submissions can still be inspected.
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from .errors import SchemaError
 from .vqa import VqaItem, VqaPrediction
@@ -100,6 +100,8 @@ def _load_json(path) -> Any:
             f"{path} is not valid JSON: {exc.msg}",
             locator=f"line {exc.lineno}, column {exc.colno}",
         ) from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path} is nested too deeply to parse") from exc
 
 
 def _expect(value, expected_type, locator: str):
@@ -210,42 +212,61 @@ def load_vqa_items(path) -> list[VqaItem]:
     root = _expect(_load_json(path), dict, str(path))
     items = []
     seen_ids = set()
-    for idx, raw in enumerate(_field(root, "questions", list, str(path))):
-        locator = f"questions[{idx}]"
-        record = _expect(raw, dict, locator)
-        item_id = _field(record, "id", str, locator)
-        if item_id in seen_ids:
-            raise SchemaError(f"duplicate question id {item_id!r}", locator=locator)
+    for idx, record in enumerate(_field(root, "questions", list, str(path))):
+        if not (
+            isinstance(record, dict)
+            and isinstance(item_id := record.get("id"), str)
+            and item_id not in seen_ids
+            and isinstance(options := record.get("options"), list)
+            and all([isinstance(option, str) for option in options])
+            and isinstance(segment_id := record.get("segment"), str)
+            and isinstance(question := record.get("question"), str)
+            and isinstance(gold := record.get("correct"), int)
+            and not isinstance(gold, bool)
+        ):
+            _raise_question_error(record, f"questions[{idx}]", seen_ids)
         seen_ids.add(item_id)
-        options = _field(record, "options", list, locator)
-        for o_idx, option in enumerate(options):
-            _expect(option, str, f"{locator}.options[{o_idx}]")
         try:
-            items.append(
-                VqaItem(
-                    id=item_id,
-                    segment_id=_field(record, "segment", str, locator),
-                    question=_field(record, "question", str, locator),
-                    options=list(options),
-                    gold=_field(record, "correct", int, locator),
-                )
-            )
+            items.append(VqaItem(item_id, segment_id, question, options, gold))
         except SchemaError as exc:
-            raise SchemaError(str(exc), locator=locator) from exc
+            raise SchemaError(str(exc), locator=f"questions[{idx}]") from exc
     return items
+
+
+def _raise_question_error(record, locator: str, seen_ids: set[str]) -> NoReturn:
+    """Raise the error for a question that failed `load_vqa_items`' checks.
+
+    The checks run one at a time here, in the order that picks which
+    error a record with several faults reports.
+    """
+    record = _expect(record, dict, locator)
+    item_id = _field(record, "id", str, locator)
+    if item_id in seen_ids:
+        raise SchemaError(f"duplicate question id {item_id!r}", locator=locator)
+    for o_idx, option in enumerate(_field(record, "options", list, locator)):
+        _expect(option, str, f"{locator}.options[{o_idx}]")
+    try:
+        _field(record, "segment", str, locator)
+        _field(record, "question", str, locator)
+        if isinstance(_field(record, "correct", int, locator), bool):
+            raise SchemaError("expected int, got bool", locator=f"{locator}.correct")
+    except SchemaError as exc:
+        raise SchemaError(str(exc), locator=locator) from exc
+    raise AssertionError(f"no check failed for {locator}")
 
 
 def load_vqa_predictions(path) -> list[VqaPrediction]:
     """Load the VQA submission file; id collisions are caught at scoring time."""
     root = _expect(_load_json(path), dict, str(path))
     predictions = []
-    for idx, raw in enumerate(_field(root, "answers", list, str(path))):
-        locator = f"answers[{idx}]"
-        record = _expect(raw, dict, locator)
-        predictions.append(
-            VqaPrediction(
-                id=_field(record, "id", str, locator),
-                raw=_field(record, "raw", str, locator),
-            )
-        )
+    for idx, record in enumerate(_field(root, "answers", list, str(path))):
+        if not (
+            isinstance(record, dict)
+            and isinstance(prediction_id := record.get("id"), str)
+            and isinstance(raw := record.get("raw"), str)
+        ):
+            locator = f"answers[{idx}]"
+            _field(_expect(record, dict, locator), "id", str, locator)
+            _field(record, "raw", str, locator)
+        predictions.append(VqaPrediction(prediction_id, raw))
     return predictions

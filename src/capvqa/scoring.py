@@ -40,6 +40,16 @@ class ScoringConfig:
     cider_scale: float = DEFAULT_SCALE
     cider_length_penalty_sigma: float | None = None
 
+    def __post_init__(self):
+        _check_positive_finite("cider_scale", self.cider_scale)
+        if self.cider_length_penalty_sigma is not None:
+            _check_positive_finite("cider_length_penalty_sigma", self.cider_length_penalty_sigma)
+
+
+def _check_positive_finite(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
 
 DEFAULT_CONFIG = ScoringConfig()
 

@@ -8,6 +8,7 @@ computed by them.
 
 import itertools
 import math
+import re
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +227,48 @@ def cider_reference(candidate_token_lists, reference_set_token_lists, scale=10.0
             per_n.append(sum(sims) / len(refs))
         results.append((per_n, scale * sum(per_n) / 4.0))
     return results
+
+
+# ---------------------------------------------------------------------------
+# VQA answer resolution: token tuples compared slice by slice
+
+
+_CHOICE_LETTER = re.compile(r"\s*([A-Za-z])\s*(?:[.):]|$)")
+_STRIP_TABLE = str.maketrans("", "", '.,;:!?"()[]')
+
+
+def _normalize_tokens(text):
+    return tuple(text.lower().translate(_STRIP_TABLE).split())
+
+
+def normalize_answer_reference(raw, options):
+    """Option index for a free-form answer, or None, by the slice-compare resolver."""
+    return _resolve(raw, [_normalize_tokens(opt) for opt in options])
+
+
+def _resolve(raw, normalized_options):
+    match = _CHOICE_LETTER.match(raw)
+    if match:
+        index = ord(match.group(1).upper()) - ord("A")
+        if index < len(normalized_options):
+            return index
+
+    raw_tokens = _normalize_tokens(raw)
+    for index, opt_tokens in enumerate(normalized_options):
+        if raw_tokens == opt_tokens:
+            return index
+
+    contained = []
+    for index, opt_tokens in enumerate(normalized_options):
+        if opt_tokens and _is_sublist(opt_tokens, raw_tokens):
+            contained.append(index)
+    if len(contained) == 1:
+        return contained[0]
+    return None
+
+
+def _is_sublist(needle, haystack):
+    span = len(needle)
+    return any(
+        haystack[i : i + span] == needle for i in range(len(haystack) - span + 1)
+    )

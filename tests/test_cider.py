@@ -146,6 +146,13 @@ def test_length_penalty_flag():
     assert penalized.score == pytest.approx(short.score * math.exp(-4 / 72), abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_scale_must_be_finite_and_positive(scale):
+    refs = [["a", "b"]]
+    with pytest.raises(ValueError, match="scale"):
+        cider(["a"], refs, compute_idf([refs]), scale=scale)
+
+
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
 def test_length_penalty_sigma_must_be_positive(sigma):
     refs = [["a", "b"]]

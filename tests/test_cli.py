@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import oracles
+import capvqa
 from capvqa import cli, tokenize
 from capvqa.dataset_io import PHASES, load_ground_truth, load_predictions
 from capvqa.scoring import identity_scores
@@ -306,3 +311,43 @@ def test_output_flag_writes_file(tmp_path, fixtures_dir, capsys):
 def test_no_subcommand_exits_2(capsys):
     assert cli.main([]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_boolean_correct_exits_2(tmp_path, fixtures_dir, capsys):
+    doc = json.loads((fixtures_dir / "vqa_gold.json").read_text())
+    doc["questions"][0]["correct"] = True
+    gold_path = tmp_path / "bool_gold.json"
+    gold_path.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main([
+        "score-vqa",
+        "--gt-vqa", str(gold_path),
+        "--pred-vqa", str(fixtures_dir / "vqa_pred.json"),
+    ])
+    assert code == 2
+    assert "expected int, got bool (at questions[0].correct)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--gt-captions", "--pred-captions", "--gt-vqa", "--pred-vqa"])
+def test_deeply_nested_input_exits_2(tmp_path, fixtures_dir, capsys, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    args = _score_all_args(fixtures_dir)
+    args[args.index(flag) + 1] = str(deep)
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {deep} is nested too deeply to parse\n"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # the adapter names are resolved on first access, so scoring never pays
+    # for numpy's import; they must still import from the package
+    code = (
+        "import sys, capvqa.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "from capvqa import lora_merge\n"
+        "assert 'numpy' in sys.modules and callable(lora_merge)\n"
+    )
+    src = str(Path(capvqa.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)

@@ -192,3 +192,70 @@ def test_vqa_prediction_fields_required(tmp_path):
     path = _write(tmp_path, "vqa.json", {"answers": [{"id": "q1"}]})
     with pytest.raises(SchemaError, match="raw"):
         load_vqa_predictions(path)
+
+
+_QUESTION = {
+    "id": "q1", "segment": "s1/action", "question": "What?", "options": ["a", "b"], "correct": 0,
+}
+
+_MISSING = object()
+
+
+def _question(**changes):
+    record = {**_QUESTION, **changes}
+    return {name: value for name, value in record.items() if value is not _MISSING}
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (["q"], "expected dict, got str (at questions[0])"),
+        ([_question(id=_MISSING)], "missing field 'id' (at questions[0])"),
+        ([_question(segment=_MISSING)], "missing field 'segment' (at questions[0]) (at questions[0])"),
+        ([_question(question=_MISSING)], "missing field 'question' (at questions[0]) (at questions[0])"),
+        ([_question(options=_MISSING)], "missing field 'options' (at questions[0])"),
+        ([_question(correct=_MISSING)], "missing field 'correct' (at questions[0]) (at questions[0])"),
+        ([_question(id=1)], "expected str, got int (at questions[0].id)"),
+        ([_question(segment=None)], "expected str, got NoneType (at questions[0].segment) (at questions[0])"),
+        ([_question(question=["?"])], "expected str, got list (at questions[0].question) (at questions[0])"),
+        ([_question(options="a b")], "expected list, got str (at questions[0].options)"),
+        ([_question(correct=0.0)], "expected int, got float (at questions[0].correct) (at questions[0])"),
+        ([_question(correct="0")], "expected int, got str (at questions[0].correct) (at questions[0])"),
+        ([_question(correct=True)], "expected int, got bool (at questions[0].correct) (at questions[0])"),
+        ([_question(options=["a", 2])], "expected str, got int (at questions[0].options[1])"),
+        ([_question(options=["a"])], "question 'q1' needs at least 2 options, got 1 (at questions[0])"),
+        ([_question(correct=2)], "question 'q1' gold index 2 is outside [0, 2) (at questions[0])"),
+        ([_question(correct=-1)], "question 'q1' gold index -1 is outside [0, 2) (at questions[0])"),
+        (
+            [_question(options=["A b", "a, b!"])],
+            "question 'q1' has options that collide after normalization (at questions[0])",
+        ),
+        ([_question(), _question(options=3)], "duplicate question id 'q1' (at questions[1])"),
+        (
+            [_question(), _question(id="q2", segment=5)],
+            "expected str, got int (at questions[1].segment) (at questions[1])",
+        ),
+    ],
+)
+def test_vqa_item_schema_error_messages(tmp_path, records, message):
+    path = _write(tmp_path, "vqa.json", {"questions": records})
+    with pytest.raises(SchemaError) as error:
+        load_vqa_items(path)
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([3], "expected dict, got int (at answers[0])"),
+        ([{"raw": "A"}], "missing field 'id' (at answers[0])"),
+        ([{"id": "q1"}], "missing field 'raw' (at answers[0])"),
+        ([{"id": "q1", "raw": 1}], "expected str, got int (at answers[0].raw)"),
+        ([{"id": None, "raw": "A"}], "expected str, got NoneType (at answers[0].id)"),
+    ],
+)
+def test_vqa_prediction_schema_error_messages(tmp_path, records, message):
+    path = _write(tmp_path, "vqa.json", {"answers": records})
+    with pytest.raises(SchemaError) as error:
+        load_vqa_predictions(path)
+    assert str(error.value) == message

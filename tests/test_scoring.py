@@ -50,3 +50,27 @@ def test_segments_equal_direct_metric_calls(fixtures_dir, config):
             scale=config.cider_scale,
             length_penalty_sigma=config.cider_length_penalty_sigma,
         ).score
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("cider_scale", float("nan")),
+        ("cider_scale", float("inf")),
+        ("cider_scale", -1.0),
+        ("cider_scale", 0.0),
+        ("cider_length_penalty_sigma", float("nan")),
+        ("cider_length_penalty_sigma", float("-inf")),
+        ("cider_length_penalty_sigma", 0.0),
+        ("cider_length_penalty_sigma", -3.0),
+    ],
+)
+def test_config_rejects_non_finite_or_non_positive_cider_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        ScoringConfig(**{field: value})
+
+
+def test_config_accepts_positive_cider_values_and_no_sigma():
+    config = ScoringConfig(cider_scale=0.5, cider_length_penalty_sigma=None)
+    assert (config.cider_scale, config.cider_length_penalty_sigma) == (0.5, None)
+    assert ScoringConfig(cider_length_penalty_sigma=6.0).cider_length_penalty_sigma == 6.0

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from capvqa import vqa
 from capvqa.errors import SchemaError, ValidationFailure
+from capvqa.text_norm import PUNCTUATION, TokenizerConfig, tokenize
 from capvqa.vqa import (
     NO_ANSWER,
     AccuracyResult,
@@ -87,6 +91,44 @@ def test_never_raises_on_arbitrary_text():
         raw = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
         result = normalize_answer(raw, OPTIONS)
         assert result is NO_ANSWER or 0 <= result < len(OPTIONS)
+
+
+# few letters, so options repeat tokens and contain one another
+_TEXTS = st.text(alphabet="aAbB" + PUNCTUATION + " \t\u2003\x1c", max_size=12)
+
+
+@st.composite
+def _answer_and_options(draw):
+    options = draw(st.lists(_TEXTS, min_size=1, max_size=5))
+    pieces = draw(st.lists(
+        st.one_of(
+            st.sampled_from(options),
+            _TEXTS,
+            st.text(max_size=6),
+            st.sampled_from(["A", "b)", "C.", " d:", "E"]),
+        ),
+        max_size=4,
+    ))
+    separators = draw(st.lists(
+        st.sampled_from(["", " ", "\u2003", "\x1c", ".", "\n"]),
+        min_size=len(pieces),
+        max_size=len(pieces),
+    ))
+    return "".join(sep + piece for sep, piece in zip(separators, pieces)), options
+
+
+@settings(max_examples=600, deadline=None)
+@given(_answer_and_options())
+def test_normalize_answer_matches_slice_reference(case):
+    raw, options = case
+    assert normalize_answer(raw, options) == oracles.normalize_answer_reference(raw, options)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_normalized_text_has_the_strip_tokenizer_tokens(text):
+    expected = tokenize(text, TokenizerConfig(punctuation_policy="strip"))
+    assert vqa._normalize_tokens(text) == " ".join(expected)
 
 
 def test_all_correct():
