@@ -68,12 +68,11 @@ def bleu4(
     ref_tables = [ngram_table(ref) for ref in references]
     precisions = []
     for n in range(1, MAX_ORDER + 1):
-        cand_counts = cand_table[n - 1]
-        total = sum(cand_counts.values())
-        if total == 0:
+        total = c - n + 1  # the candidate's order-n windows
+        if total <= 0:
             p = 0.0
         else:
-            p = clipped_counts(cand_counts, [table[n - 1] for table in ref_tables]) / total
+            p = clipped_counts(cand_table[n - 1], [table[n - 1] for table in ref_tables]) / total
         if p == 0.0 and zero_policy == "epsilon":
             p = EPSILON_FLOOR
         precisions.append(p)

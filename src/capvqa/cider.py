@@ -20,6 +20,7 @@ evaluation corpus once, then score any number of candidates against it
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .ngrams import MAX_ORDER, extract_ngrams, ngram_table, windows
@@ -61,13 +62,21 @@ def compute_idf(corpus: Sequence[Sequence[Sequence[str]]]) -> CiderCorpusIdf:
     """
     if not corpus:
         raise ValueError("cider idf requires a non-empty corpus")
-    df: dict[int, Counter] = {n: Counter() for n in range(1, MAX_ORDER + 1)}
-    for references in corpus:
-        for n in range(1, MAX_ORDER + 1):
-            seen = set()
-            for reference in references:
-                seen.update(windows(reference, n))
-            df[n].update(seen)
+    # The windows of one reference whose tokens are all distinct are
+    # distinct already; any other set's grams go through a set.
+    distinct_tokens = [
+        len(references) == 1 and len(set(references[0])) == len(references[0])
+        for references in corpus
+    ]
+    # one C-level count per order over every set's grams, chained
+    df = {
+        n: Counter(chain.from_iterable(
+            windows(references[0], n) if distinct
+            else set().union(*[windows(reference, n) for reference in references])
+            for references, distinct in zip(corpus, distinct_tokens)
+        ))
+        for n in range(1, MAX_ORDER + 1)
+    }
     return CiderCorpusIdf(num_docs=len(corpus), df=df)
 
 
@@ -75,9 +84,9 @@ def _tfidf(counts: Counter, n: int, idf: CiderCorpusIdf) -> dict[tuple, float]:
     total = sum(counts.values())
     if total == 0:
         return {}
-    df, log_idf = idf.df[n], idf.log_idf
+    df_get, log_idf = idf.df[n].get, idf.log_idf
     return {
-        gram: (count / total) * log_idf[df.get(gram, 1)]
+        gram: (count / total) * log_idf[df_get(gram, 1)]
         for gram, count in counts.items()
     }
 
@@ -89,11 +98,13 @@ def tfidf_vector(tokens: Sequence[str], n: int, idf: CiderCorpusIdf) -> dict[tup
 
 def _cosine(a: Mapping[tuple, float], b: Mapping[tuple, float]) -> float:
     # zero vectors (empty captions, single-document corpora) score 0
-    norm_a = math.sqrt(math.fsum(v * v for v in a.values()))
-    norm_b = math.sqrt(math.fsum(v * v for v in b.values()))
+    norm_a = math.sqrt(math.fsum([v * v for v in a.values()]))
+    norm_b = math.sqrt(math.fsum([v * v for v in b.values()]))
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
-    dot = math.fsum(v * b.get(k, 0.0) for k, v in a.items())
+    # a gram `b` lacks adds a zero term (weights are finite and >= 0);
+    # fsum is exactly rounded, so leaving those out gives the same float
+    dot = math.fsum([v * b[k] for k, v in a.items() if k in b])
     return dot / (norm_a * norm_b)
 
 

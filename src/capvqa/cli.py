@@ -40,12 +40,31 @@ def _default_workers() -> int:
         raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections are one line, without the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _finite(text: str) -> float:
+    """argparse type for a flag that must be a finite number."""
+    value = _float_or_nan(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _positive_finite(text: str) -> float:
     """argparse type for a flag that must be a finite number above zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = _float_or_nan(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
@@ -66,9 +85,9 @@ def _add_caption_flags(parser: argparse.ArgumentParser):
         default="precision-ratio",
         help="ROUGE-L beta convention (default: %(default)s)",
     )
-    parser.add_argument("--meteor-alpha", type=float, default=0.9)
-    parser.add_argument("--meteor-beta", type=float, default=3.0)
-    parser.add_argument("--meteor-gamma", type=float, default=0.5)
+    parser.add_argument("--meteor-alpha", type=_finite, default=0.9)
+    parser.add_argument("--meteor-beta", type=_finite, default=3.0)
+    parser.add_argument("--meteor-gamma", type=_finite, default=0.5)
     parser.add_argument(
         "--cider-scale",
         type=_positive_finite,
@@ -241,11 +260,12 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="capvqa",
         description="Score caption and multiple-choice VQA submissions for "
         "dual-task traffic-video benchmarks.",
     )
+    # argparse builds subparsers with the parser's own class, so they share `error`
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("score-captions", help="caption metrics per split")

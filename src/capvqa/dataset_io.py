@@ -19,6 +19,8 @@ alignment: a prediction for an unknown scenario loads fine and is flagged
 by `validate`, so partial submissions can still be inspected.
 """
 
+import contextlib
+import gc
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -207,6 +209,24 @@ def validate(gt: ScenarioSet, pred: ScenarioSet) -> ValidationReport:
     )
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Hold off cyclic GC while a loader builds many records.
+
+    The records hold no reference cycles, so the collector's passes over
+    them, triggered only by their number, free nothing. GC is enabled
+    again on exit only if it was enabled on entry.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def load_vqa_items(path) -> list[VqaItem]:
     """Load the VQA gold file."""
     root = _expect(_load_json(path), dict, str(path))
@@ -229,6 +249,7 @@ def load_vqa_items(path) -> list[VqaItem]:
         try:
             items.append(VqaItem(item_id, segment_id, question, options, gold))
         except SchemaError as exc:
+            # VqaItem does not know where its record sits in the file
             raise SchemaError(str(exc), locator=f"questions[{idx}]") from exc
     return items
 
@@ -245,16 +266,14 @@ def _raise_question_error(record, locator: str, seen_ids: set[str]) -> NoReturn:
         raise SchemaError(f"duplicate question id {item_id!r}", locator=locator)
     for o_idx, option in enumerate(_field(record, "options", list, locator)):
         _expect(option, str, f"{locator}.options[{o_idx}]")
-    try:
-        _field(record, "segment", str, locator)
-        _field(record, "question", str, locator)
-        if isinstance(_field(record, "correct", int, locator), bool):
-            raise SchemaError("expected int, got bool", locator=f"{locator}.correct")
-    except SchemaError as exc:
-        raise SchemaError(str(exc), locator=locator) from exc
+    _field(record, "segment", str, locator)
+    _field(record, "question", str, locator)
+    if isinstance(_field(record, "correct", int, locator), bool):
+        raise SchemaError("expected int, got bool", locator=f"{locator}.correct")
     raise AssertionError(f"no check failed for {locator}")
 
 
+@_gc_paused()
 def load_vqa_predictions(path) -> list[VqaPrediction]:
     """Load the VQA submission file; id collisions are caught at scoring time."""
     root = _expect(_load_json(path), dict, str(path))

@@ -11,7 +11,9 @@ such matchings, minimizes the chunk count. The search is exhaustive while
 the number of distinct max-cardinality matchings stays within
 `max_search` (default 10_000); beyond that a deterministic left-to-right
 greedy pass is used that prefers reference positions extending the
-current chunk.
+current chunk. A pair with exactly one max matching (every shared word
+occurs once on each side) also takes the greedy pass: it then has one
+choice per word, so it finds that matching and its chunks in linear time.
 
 The exhaustive search walks the candidate left to right over every
 max-cardinality matching and no other: a word with c candidate and r
@@ -41,10 +43,11 @@ class MeteorParams:
     gamma: float = 0.5
 
     def __post_init__(self):
+        # the bounded alpha and gamma ranges already exclude NaN and infinities
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not math.isfinite(self.beta) or self.beta <= 0.0:
+            raise ValueError(f"beta must be a finite number > 0, got {self.beta}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
 
@@ -170,30 +173,26 @@ def _align_greedy(candidate: Sequence[str], reference: Sequence[str]) -> tuple[i
     for j, tok in enumerate(reference):
         ref_positions[tok].append(j)
     used = [False] * len(reference)
-    matches = 0
-    chunks = 0
-    prev = None  # (candidate_pos, reference_pos) of the last match
+    matches = chunks = 0
+    ext_i = ext_j = -1  # the pair that would extend the current chunk
     for i, tok in enumerate(candidate):
         positions = ref_positions.get(tok)
-        if not positions:
+        if positions is None:
             continue
-        j = None
-        if prev is not None and prev[0] == i - 1:
-            ext = prev[1] + 1
-            if ext < len(reference) and not used[ext] and reference[ext] == tok:
-                j = ext
-        if j is None:
-            for cand_j in positions:
-                if not used[cand_j]:
-                    j = cand_j
+        if i == ext_i and ext_j < len(reference) and reference[ext_j] == tok and not used[ext_j]:
+            j = ext_j
+        else:
+            # the first free occurrence; it cannot extend the chunk, or the
+            # test above would have taken it
+            for j in positions:
+                if not used[j]:
                     break
-        if j is None:
-            continue
+            else:
+                continue
+            chunks += 1
         used[j] = True
         matches += 1
-        if prev is None or prev[0] != i - 1 or prev[1] != j - 1:
-            chunks += 1
-        prev = (i, j)
+        ext_i, ext_j = i + 1, j + 1
     return matches, chunks
 
 
@@ -203,7 +202,7 @@ def align(
     max_search: int = DEFAULT_MAX_SEARCH,
 ) -> MeteorAlignment:
     """One-to-one exact-match alignment: most matches, then fewest chunks."""
-    if _matching_count(candidate, reference, max_search) <= max_search:
+    if 1 < _matching_count(candidate, reference, max_search) <= max_search:
         matches, chunks = _align_exhaustive(candidate, reference)
     else:
         matches, chunks = _align_greedy(candidate, reference)

@@ -1,8 +1,9 @@
 """n-gram extraction and clipped matching, shared by BLEU and CIDEr."""
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
 MAX_ORDER = 4
@@ -46,7 +47,14 @@ class Tokens(tuple):
     @cached_property
     def ngrams(self) -> tuple[Counter, ...]:
         """Window counts by order: index n - 1 holds the order-n counts."""
-        return tuple(Counter(windows(self, n)) for n in range(1, MAX_ORDER + 1))
+        # `windows` for n = 1..4 (MAX_ORDER), each shifted copy sliced once
+        t1, t2, t3 = self[1:], self[2:], self[3:]
+        return (
+            Counter(zip(self)),
+            Counter(zip(self, t1)),
+            Counter(zip(self, t1, t2)),
+            Counter(zip(self, t1, t2, t3)),
+        )
 
 
 def ngram_table(tokens: Sequence[str]) -> tuple[Counter, ...]:
@@ -55,12 +63,12 @@ def ngram_table(tokens: Sequence[str]) -> tuple[Counter, ...]:
 
 
 def clipped_counts(candidate: Counter, references: Sequence[Counter]) -> int:
-    """`clipped_matches` over bare counts of one order."""
-    ceiling: dict[tuple, int] = {}
-    for ref in references:
-        for gram in candidate.keys() & ref.keys():
-            ceiling[gram] = max(ceiling.get(gram, 0), ref[gram])
-    return sum(min(candidate[gram], best) for gram, best in ceiling.items())
+    """`clipped_matches` over bare counts of one order (all counts positive)."""
+    if not references:
+        return 0
+    # `|` keeps each gram's largest count; one reference is its own ceiling
+    ceiling = references[0] if len(references) == 1 else reduce(operator.or_, references)
+    return sum([min(candidate[gram], ceiling[gram]) for gram in candidate.keys() & ceiling.keys()])
 
 
 def clipped_matches(candidate: NGramCounts, references: Sequence[NGramCounts]) -> int:

@@ -141,7 +141,13 @@ def score_captions(
     config: ScoringConfig = DEFAULT_CONFIG,
     workers: int = 1,
 ) -> CaptionScores:
-    """Score a caption submission against ground truth, per split."""
+    """Score a caption submission against ground truth, per split.
+
+    Ground truth without scenarios is an error: it has nothing to score,
+    and a score of zero would read as a real result.
+    """
+    if not gt.scenarios:
+        raise ValueError("ground truth has no scenarios to score")
     units_by_split = _collect_units(gt, pred, config)
 
     split_results: dict[str, SplitScores] = {}

@@ -9,6 +9,7 @@ computed by them.
 import itertools
 import math
 import re
+from collections import Counter
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +60,18 @@ def bleu4_reference(candidate_tokens, reference_token_lists):
             return 0.0
         product *= p
     return bp * product**0.25
+
+
+def clipped_counts_reference(candidate, references):
+    """Clipped matches of one order through a per-gram ceiling dict.
+
+    `candidate` and each reference are gram -> count mappings.
+    """
+    ceiling = {}
+    for ref in references:
+        for gram in candidate.keys() & ref.keys():
+            ceiling[gram] = max(ceiling.get(gram, 0), ref[gram])
+    return sum(min(candidate[gram], best) for gram, best in ceiling.items())
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +176,44 @@ def best_alignment_brute_force(candidate_tokens, reference_tokens):
     return best_m, best_ch
 
 
+def greedy_alignment_reference(candidate_tokens, reference_tokens):
+    """(matches, chunks) of the left-to-right greedy pass METEOR falls back to.
+
+    Each candidate token takes the reference position that extends the
+    current chunk if that one is free and holds the token, else its first
+    free occurrence.
+    """
+    ref_positions = {}
+    for j, tok in enumerate(reference_tokens):
+        ref_positions.setdefault(tok, []).append(j)
+    used = [False] * len(reference_tokens)
+    matches = 0
+    chunks = 0
+    prev = None  # (candidate_pos, reference_pos) of the last match
+    for i, tok in enumerate(candidate_tokens):
+        positions = ref_positions.get(tok)
+        if not positions:
+            continue
+        j = None
+        if prev is not None and prev[0] == i - 1:
+            ext = prev[1] + 1
+            if ext < len(reference_tokens) and not used[ext] and reference_tokens[ext] == tok:
+                j = ext
+        if j is None:
+            for cand_j in positions:
+                if not used[cand_j]:
+                    j = cand_j
+                    break
+        if j is None:
+            continue
+        used[j] = True
+        matches += 1
+        if prev is None or prev[0] != i - 1 or prev[1] != j - 1:
+            chunks += 1
+        prev = (i, j)
+    return matches, chunks
+
+
 def meteor_reference(candidate_tokens, reference_token_lists, alpha=0.9, beta=3.0, gamma=0.5):
     best = 0.0
     for ref in reference_token_lists:
@@ -227,6 +278,32 @@ def cider_reference(candidate_token_lists, reference_set_token_lists, scale=10.0
             per_n.append(sum(sims) / len(refs))
         results.append((per_n, scale * sum(per_n) / 4.0))
     return results
+
+
+def compute_idf_reference(corpus):
+    """Per-order document frequencies, one `Counter.update` per set and order.
+
+    Returns {n: Counter(gram -> number of reference sets holding it)}.
+    """
+    df = {n: Counter() for n in range(1, 5)}
+    for references in corpus:
+        for n in range(1, 5):
+            seen = set()
+            for reference in references:
+                seen.update(zip(*(reference[k:] for k in range(n))))
+            df[n].update(seen)
+    return df
+
+
+def cosine_reference(a, b):
+    """Cosine of two sparse vectors, summing a product for every key of `a`."""
+    # zero vectors (empty captions, single-document corpora) score 0
+    norm_a = math.sqrt(math.fsum(v * v for v in a.values()))
+    norm_b = math.sqrt(math.fsum(v * v for v in b.values()))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    dot = math.fsum(v * b.get(k, 0.0) for k, v in a.items())
+    return dot / (norm_a * norm_b)
 
 
 # ---------------------------------------------------------------------------

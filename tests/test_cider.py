@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from capvqa.cider import cider, compute_idf, tfidf_vector
+from capvqa.cider import _cosine, cider, compute_idf, tfidf_vector
 
 
 def _load_fixture(fixtures_dir):
@@ -158,3 +160,31 @@ def test_length_penalty_sigma_must_be_positive(sigma):
     refs = [["a", "b"]]
     with pytest.raises(ValueError, match="length_penalty_sigma"):
         cider(["a"], refs, compute_idf([refs]), length_penalty_sigma=sigma)
+
+
+_REFERENCE_SETS = st.lists(
+    st.lists(st.lists(st.sampled_from("abcde"), max_size=8), min_size=1, max_size=3),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REFERENCE_SETS)
+def test_idf_tables_match_per_set_update_reference(corpus):
+    assert compute_idf(corpus).df == oracles.compute_idf_reference(corpus)
+
+
+# TF-IDF weights are products of a term frequency and ln(num_docs / df),
+# so never negative; subnormals and exact zeros are kept in.
+_WEIGHT_VECTORS = st.dictionaries(
+    st.tuples(st.sampled_from("abcdef"), st.sampled_from("ab")),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+    max_size=12,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_WEIGHT_VECTORS, _WEIGHT_VECTORS)
+def test_cosine_is_bit_identical_to_all_keys_reference(a, b):
+    assert repr(_cosine(a, b)) == repr(oracles.cosine_reference(a, b))

@@ -351,3 +351,62 @@ def test_cli_import_leaves_numpy_unloaded():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+
+def _stderr_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["score-captions", "--gt-captions", "g", "--pred-captions", "p", "--cider-scale", "nan"],
+            "capvqa score-captions: error: argument --cider-scale: "
+            "must be a finite number > 0, got 'nan'\n",
+        ),
+        (
+            ["score-vqa", "--gt-vqa", "gold.json"],
+            "capvqa score-vqa: error: the following arguments are required: --pred-vqa\n",
+        ),
+        (
+            ["score-captions", "--workers", "two"],
+            "capvqa score-captions: error: argument --workers: invalid int value: 'two'\n",
+        ),
+        # argparse's wording of the choices differs between Python versions
+        (["score-everything"], "capvqa: error: argument command: invalid choice: 'score-everything'"),
+    ],
+)
+def test_argument_rejections_are_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert _stderr_line(capsys).startswith(message)
+
+
+@pytest.mark.parametrize("flag", ["--meteor-alpha", "--meteor-beta", "--meteor-gamma"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "high"])
+def test_meteor_flags_must_be_finite(fixtures_dir, capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(_score_all_args(fixtures_dir, "--format", "json", f"{flag}={value}"))
+    assert exit_info.value.code == 2
+    assert _stderr_line(capsys) == (
+        f"capvqa score-all: error: argument {flag}: must be a finite number, got {value!r}\n"
+    )
+
+
+def test_meteor_beta_out_of_range_exits_2(fixtures_dir, capsys):
+    assert cli.main(_score_all_args(fixtures_dir, "--meteor-beta", "0")) == 2
+    assert _stderr_line(capsys) == "error: beta must be a finite number > 0, got 0.0\n"
+
+
+def test_ground_truth_without_scenarios_exits_2(tmp_path, fixtures_dir, capsys):
+    gt_path = tmp_path / "empty_gt.json"
+    gt_path.write_text(json.dumps({"scenarios": []}), encoding="utf-8")
+    argv = _score_all_args(fixtures_dir)
+    argv[argv.index("--gt-captions") + 1] = str(gt_path)
+    assert cli.main(argv) == 2
+    assert _stderr_line(capsys) == "error: ground truth has no scenarios to score\n"

@@ -1,7 +1,9 @@
+import gc
 import json
 
 import pytest
 
+from capvqa import dataset_io
 from capvqa.dataset_io import (
     PHASES,
     ValidationReport,
@@ -211,17 +213,17 @@ def _question(**changes):
     [
         (["q"], "expected dict, got str (at questions[0])"),
         ([_question(id=_MISSING)], "missing field 'id' (at questions[0])"),
-        ([_question(segment=_MISSING)], "missing field 'segment' (at questions[0]) (at questions[0])"),
-        ([_question(question=_MISSING)], "missing field 'question' (at questions[0]) (at questions[0])"),
+        ([_question(segment=_MISSING)], "missing field 'segment' (at questions[0])"),
+        ([_question(question=_MISSING)], "missing field 'question' (at questions[0])"),
         ([_question(options=_MISSING)], "missing field 'options' (at questions[0])"),
-        ([_question(correct=_MISSING)], "missing field 'correct' (at questions[0]) (at questions[0])"),
+        ([_question(correct=_MISSING)], "missing field 'correct' (at questions[0])"),
         ([_question(id=1)], "expected str, got int (at questions[0].id)"),
-        ([_question(segment=None)], "expected str, got NoneType (at questions[0].segment) (at questions[0])"),
-        ([_question(question=["?"])], "expected str, got list (at questions[0].question) (at questions[0])"),
+        ([_question(segment=None)], "expected str, got NoneType (at questions[0].segment)"),
+        ([_question(question=["?"])], "expected str, got list (at questions[0].question)"),
         ([_question(options="a b")], "expected list, got str (at questions[0].options)"),
-        ([_question(correct=0.0)], "expected int, got float (at questions[0].correct) (at questions[0])"),
-        ([_question(correct="0")], "expected int, got str (at questions[0].correct) (at questions[0])"),
-        ([_question(correct=True)], "expected int, got bool (at questions[0].correct) (at questions[0])"),
+        ([_question(correct=0.0)], "expected int, got float (at questions[0].correct)"),
+        ([_question(correct="0")], "expected int, got str (at questions[0].correct)"),
+        ([_question(correct=True)], "expected int, got bool (at questions[0].correct)"),
         ([_question(options=["a", 2])], "expected str, got int (at questions[0].options[1])"),
         ([_question(options=["a"])], "question 'q1' needs at least 2 options, got 1 (at questions[0])"),
         ([_question(correct=2)], "question 'q1' gold index 2 is outside [0, 2) (at questions[0])"),
@@ -233,7 +235,7 @@ def _question(**changes):
         ([_question(), _question(options=3)], "duplicate question id 'q1' (at questions[1])"),
         (
             [_question(), _question(id="q2", segment=5)],
-            "expected str, got int (at questions[1].segment) (at questions[1])",
+            "expected str, got int (at questions[1].segment)",
         ),
     ],
 )
@@ -259,3 +261,46 @@ def test_vqa_prediction_schema_error_messages(tmp_path, records, message):
     with pytest.raises(SchemaError) as error:
         load_vqa_predictions(path)
     assert str(error.value) == message
+
+
+@pytest.mark.parametrize("loader, name", [
+    (load_vqa_items, "vqa_gold.json"), (load_vqa_predictions, "vqa_pred.json"),
+])
+def test_gc_pause_leaves_records_unchanged(fixtures_dir, loader, name):
+    paused = loader(fixtures_dir / name)
+    assert gc.isenabled()
+    assert paused == loader.__wrapped__(fixtures_dir / name)
+
+
+def test_gc_is_paused_while_questions_are_built(fixtures_dir, monkeypatch):
+    states = []
+    item = dataset_io.VqaItem
+
+    def recording_item(*args):
+        states.append(gc.isenabled())
+        return item(*args)
+
+    monkeypatch.setattr(dataset_io, "VqaItem", recording_item)
+    load_vqa_items(fixtures_dir / "vqa_gold.json")
+    assert states and not any(states)
+    assert gc.isenabled()
+
+
+def test_gc_is_enabled_again_after_a_failed_load(tmp_path):
+    path = _write(tmp_path, "vqa.json", {"questions": [_question(correct="0")]})
+    with pytest.raises(SchemaError):
+        load_vqa_items(path)
+    assert gc.isenabled()
+    with pytest.raises(SchemaError):
+        load_vqa_predictions(_write(tmp_path, "answers.json", {"answers": [3]}))
+    assert gc.isenabled()
+
+
+def test_gc_stays_disabled_when_the_caller_disabled_it(fixtures_dir):
+    gc.disable()
+    try:
+        load_vqa_items(fixtures_dir / "vqa_gold.json")
+        load_vqa_predictions(fixtures_dir / "vqa_pred.json")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -1,11 +1,22 @@
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from capvqa.meteor import DEFAULT_MAX_SEARCH, MeteorParams, align, meteor
+from capvqa.meteor import (
+    DEFAULT_MAX_SEARCH,
+    MeteorParams,
+    _align_exhaustive,
+    _align_greedy,
+    _matching_count,
+    align,
+    meteor,
+)
 
 # Hand-applied formula values, confirmed by oracles.meteor_reference:
 # identity of length 3 -> 1 - 0.5*(1/3)**3 = 53/54; fully scrambled -> 0.5;
@@ -160,3 +171,73 @@ def test_param_validation():
         MeteorParams(beta=0.0)
     with pytest.raises(ValueError):
         MeteorParams(gamma=1.5)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        MeteorParams(**{name: value})
+
+
+@st.composite
+def _unique_matching_pair(draw):
+    # every shared word once on each side; words only one side has may repeat
+    shared = draw(st.lists(st.sampled_from("abcdefgh"), unique=True, max_size=7))
+    cand_only = draw(st.lists(st.sampled_from("xy"), max_size=5))
+    ref_only = draw(st.lists(st.sampled_from("pq"), max_size=5))
+    cand = draw(st.permutations(shared + cand_only))
+    ref = draw(st.permutations(shared + ref_only))
+    return cand, ref
+
+
+@settings(max_examples=500, deadline=None)
+@given(_unique_matching_pair())
+def test_unique_matching_pairs_match_brute_force(pair):
+    cand, ref = pair
+    assert _matching_count(cand, ref, DEFAULT_MAX_SEARCH) == 1
+    result = align(cand, ref)
+    expected = oracles.best_alignment_brute_force(cand, ref)
+    assert (result.matches, result.chunks) == expected
+    assert _align_greedy(cand, ref) == _align_exhaustive(cand, ref) == expected
+
+
+def test_only_several_max_matchings_take_the_exhaustive_search(monkeypatch):
+    searched = []
+
+    def recording_search(cand, ref):
+        searched.append((cand, ref))
+        return _align_exhaustive(cand, ref)
+
+    # the package exports a function named `meteor`, so take the module itself
+    monkeypatch.setattr(sys.modules[align.__module__], "_align_exhaustive", recording_search)
+    assert (align(["b", "a", "c"], ["a", "b", "c"]).chunks, searched) == (3, [])
+    # two max matchings: each "a" of the candidate may take either "a"
+    assert align(["a", "b", "a"], ["a", "a", "b"]).chunks == 2
+    assert searched == [(["a", "b", "a"], ["a", "a", "b"])]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.sampled_from("abcde."), max_size=40),
+    st.lists(st.sampled_from("abcdef."), max_size=40),
+)
+def test_greedy_pass_matches_its_reference(cand, ref):
+    assert _align_greedy(cand, ref) == oracles.greedy_alignment_reference(cand, ref)
+
+
+@pytest.mark.parametrize(
+    "cand, ref",
+    [
+        ([], []),
+        ([], ["a"]),
+        (["a"], []),
+        (["a", "b"], ["c", "d"]),
+        (["x", "x"], ["y"]),
+        (["b", "a", "c"], ["a", "b", "c"]),
+    ],
+)
+def test_unique_matching_edge_cases(cand, ref):
+    assert _matching_count(cand, ref, DEFAULT_MAX_SEARCH) == 1
+    result = align(cand, ref)
+    assert (result.matches, result.chunks) == oracles.best_alignment_brute_force(cand, ref)

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capvqa.ngrams import Tokens, clipped_matches, extract_ngrams, ngram_table
+import oracles
+from capvqa.ngrams import Tokens, clipped_counts, clipped_matches, extract_ngrams, ngram_table
 
 
 def test_unigram_counts():
@@ -84,3 +87,18 @@ def test_tokens_count_their_ngrams_once():
     tokens = Tokens(["a", "b", "a"])
     assert tokens == ("a", "b", "a")
     assert ngram_table(tokens) is ngram_table(tokens)
+
+
+_SHORT_TOKENS = st.lists(st.sampled_from("abcd"), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SHORT_TOKENS, st.lists(_SHORT_TOKENS, min_size=1, max_size=3), st.integers(1, 4))
+def test_clipped_counts_matches_ceiling_dict_reference(cand_tokens, ref_token_lists, n):
+    cand = extract_ngrams(cand_tokens, n).counts
+    refs = [extract_ngrams(tokens, n).counts for tokens in ref_token_lists]
+    assert clipped_counts(cand, refs) == oracles.clipped_counts_reference(cand, refs)
+
+
+def test_clipped_matches_without_references_is_zero():
+    assert clipped_matches(extract_ngrams(["a", "b"], 1), []) == 0

@@ -1,7 +1,7 @@
 import pytest
 
 from capvqa import bleu4, cider, compute_idf, meteor, rouge_l, tokenize
-from capvqa.dataset_io import load_ground_truth, load_predictions
+from capvqa.dataset_io import ScenarioSet, load_ground_truth, load_predictions
 from capvqa.scoring import ScoringConfig, score_captions
 
 
@@ -74,3 +74,9 @@ def test_config_accepts_positive_cider_values_and_no_sigma():
     config = ScoringConfig(cider_scale=0.5, cider_length_penalty_sigma=None)
     assert (config.cider_scale, config.cider_length_penalty_sigma) == (0.5, None)
     assert ScoringConfig(cider_length_penalty_sigma=6.0).cider_length_penalty_sigma == 6.0
+
+
+def test_ground_truth_without_scenarios_is_rejected(fixtures_dir):
+    pred = load_predictions(fixtures_dir / "captions_pred.json")
+    with pytest.raises(ValueError, match="no scenarios"):
+        score_captions(ScenarioSet(scenarios=[]), pred)
