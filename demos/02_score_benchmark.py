@@ -19,7 +19,7 @@ from capvqa import (
     score_captions,
     validate,
 )
-from capvqa.dataset_io import PredictionSet, Scenario, ScenarioSet, Segment
+from capvqa.dataset_io import Scenario, ScenarioSet, Segment
 
 PHASE_CAPTIONS = {
     "prerecognition": (
@@ -59,7 +59,7 @@ ground_truth = ScenarioSet(scenarios=[
 
 # The "model output": identical on the internal scenario, a trailing
 # hallucinated clause on the external one.
-submission = PredictionSet(scenarios=[
+submission = ScenarioSet(scenarios=[
     Scenario(id="demo_internal", segments=_segments()),
     Scenario(id="demo_external", segments=_segments(" near the red truck")),
 ])
@@ -68,7 +68,7 @@ report = validate(ground_truth, submission)
 print("validation:", report.summary())
 print()
 
-caption_scores = score_captions(ground_truth, submission, workers=2)
+caption_scores = score_captions(ground_truth, submission)
 for split_scores in (caption_scores.internal, caption_scores.external):
     print(f"{split_scores.split:9s} BLEU-4 {split_scores.bleu4:.4f}  "
           f"METEOR {split_scores.meteor:.4f}  ROUGE-L {split_scores.rouge_l:.4f}  "

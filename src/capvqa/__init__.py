@@ -9,7 +9,6 @@ from .bleu import BleuBreakdown, bleu4
 from .cider import CiderBreakdown, CiderCorpusIdf, cider, compute_idf, tfidf_vector
 from .composite import FinalScore, SplitScores, aggregate_splits, cap_score, s2
 from .dataset_io import (
-    PredictionSet,
     ScenarioSet,
     ValidationReport,
     load_ground_truth,
@@ -56,7 +55,6 @@ __all__ = [
     "MeteorParams",
     "NGramCounts",
     "NO_ANSWER",
-    "PredictionSet",
     "RankedEntry",
     "ResultRow",
     "ScenarioSet",

@@ -11,13 +11,12 @@ Subcommands:
 Exit codes: 0 success, 1 validation failure (strict mode or the validate
 subcommand), 2 I/O, schema or argument errors. Scoring flags default to
 the benchmark's standard conventions, and equal inputs produce
-byte-identical output regardless of worker count.
+byte-identical output.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import composite, dataset_io, report, scoring, vqa
@@ -25,20 +24,6 @@ from .bleu import ZERO_PRECISION_POLICIES
 from .errors import SchemaError, ValidationFailure
 from .meteor import MeteorParams
 from .rouge import BETA_CONVENTIONS
-
-WORKERS_ENV_VAR = "CAPVQA_WORKERS"
-
-
-def _default_workers() -> int:
-    # One worker unless asked: under the GIL the thread pool only adds overhead.
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose rejections are one line, without the usage block."""
@@ -103,9 +88,8 @@ def _add_caption_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help=f"scoring threads; more than one is slower for pure-Python scoring "
-        f"(default: ${WORKERS_ENV_VAR} or 1)",
+        default=1,
+        help="accepted for compatibility and otherwise ignored: scoring runs in one thread",
     )
 
 
@@ -146,21 +130,16 @@ def _scoring_config(args) -> scoring.ScoringConfig:
     )
 
 
-def _workers(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
 def _score_caption_files(args) -> scoring.CaptionScores:
+    if args.workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {args.workers}")
     gt = dataset_io.load_ground_truth(args.gt_captions)
     pred = dataset_io.load_predictions(args.pred_captions)
     if args.strict:
         validation = dataset_io.validate(gt, pred)
         if not validation.is_empty():
-            raise ValidationFailure(validation.summary(), report=validation)
-    return scoring.score_captions(gt, pred, _scoring_config(args), workers=_workers(args))
+            raise ValidationFailure(validation.summary())
+    return scoring.score_captions(gt, pred, _scoring_config(args))
 
 
 def cmd_score_captions(args) -> int:
@@ -198,6 +177,9 @@ def cmd_score_vqa(args) -> int:
 def cmd_score_all(args) -> int:
     if args.acc is None and not (args.gt_vqa and args.pred_vqa):
         raise ValueError("score-all needs --gt-vqa and --pred-vqa, or an --acc override")
+    # checked here, not in argparse, so a bad --acc exits 2 through main before any input is read
+    if args.acc is not None and not 0.0 <= args.acc <= 1.0:
+        raise ValueError(f"--acc must be a finite fraction in [0, 1], got {args.acc}")
     caption_scores = _score_caption_files(args)
     if args.acc is not None:
         acc = args.acc

@@ -51,9 +51,6 @@ class Scenario:
 class ScenarioSet:
     scenarios: list[Scenario]
 
-    def by_id(self) -> dict[str, Scenario]:
-        return {scenario.id: scenario for scenario in self.scenarios}
-
     def segment_keys(self) -> set[tuple[str, str]]:
         return {
             (scenario.id, segment.phase)
@@ -66,18 +63,13 @@ class ScenarioSet:
         return sum(len(scenario.segments) for scenario in self.scenarios)
 
 
-class PredictionSet(ScenarioSet):
-    """Same shape as ScenarioSet; split is always None."""
-
-
 @dataclass
 class ValidationReport:
     missing_segments: list[tuple[str, str]] = field(default_factory=list)
     extra_segments: list[tuple[str, str]] = field(default_factory=list)
-    malformed_entries: list[str] = field(default_factory=list)
 
     def is_empty(self) -> bool:
-        return not (self.missing_segments or self.extra_segments or self.malformed_entries)
+        return not (self.missing_segments or self.extra_segments)
 
     def summary(self) -> str:
         lines = []
@@ -85,8 +77,6 @@ class ValidationReport:
             lines.append(f"missing: {scenario_id}/{phase}")
         for scenario_id, phase in self.extra_segments:
             lines.append(f"extra: {scenario_id}/{phase}")
-        for locator in self.malformed_entries:
-            lines.append(f"malformed: {locator}")
         return "\n".join(lines) if lines else "submission is complete and well-formed"
 
 
@@ -174,9 +164,9 @@ def load_ground_truth(path) -> ScenarioSet:
     return ScenarioSet(scenarios=_parse_scenarios(_load_json(path), path, with_split=True))
 
 
-def load_predictions(path) -> PredictionSet:
-    """Load and schema-check a caption submission file."""
-    return PredictionSet(scenarios=_parse_scenarios(_load_json(path), path, with_split=False))
+def load_predictions(path) -> ScenarioSet:
+    """Load and schema-check a caption submission file; every split is None."""
+    return ScenarioSet(scenarios=_parse_scenarios(_load_json(path), path, with_split=False))
 
 
 def scenario_set_to_dict(scenario_set: ScenarioSet) -> dict:
@@ -205,7 +195,6 @@ def validate(gt: ScenarioSet, pred: ScenarioSet) -> ValidationReport:
     return ValidationReport(
         missing_segments=sorted(gt_keys - pred_keys),
         extra_segments=sorted(pred_keys - gt_keys),
-        malformed_entries=[],
     )
 
 

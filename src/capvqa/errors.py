@@ -21,7 +21,3 @@ class SchemaError(ValueError):
 
 class ValidationFailure(Exception):
     """Strict-mode check failed: the submission is incomplete or misaligned."""
-
-    def __init__(self, message: str, report=None):
-        self.report = report
-        super().__init__(message)

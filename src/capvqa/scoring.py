@@ -2,11 +2,10 @@
 
 Every (scenario, phase, perspective) pair is one scoring unit: its
 predicted caption is the candidate, the ground-truth caption its single
-reference. Units are scored independently (optionally on a thread pool)
-and reduced in a fixed sorted order, so the result is byte-stable for any
-worker count. The TF-IDF statistics for the consensus metric are built
-per split, over that split's reference captions, before any unit is
-scored.
+reference. Units are scored one at a time, in one thread, and reduced in
+a fixed sorted order, so the result is byte-stable. The TF-IDF
+statistics for the consensus metric are built per split, over that
+split's reference captions, before any unit is scored.
 
 Missing units score against an empty candidate (which gives 0 on every
 metric); strict completeness checking lives in the CLI via
@@ -14,14 +13,13 @@ metric); strict completeness checking lives in the CLI via
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .bleu import bleu4
 from .cider import DEFAULT_SCALE, CiderCorpusIdf, cider, compute_idf
 from .composite import SplitScores
-from .dataset_io import PHASES, SPLITS, PredictionSet, ScenarioSet
+from .dataset_io import PHASES, SPLITS, ScenarioSet
 from .meteor import DEFAULT_PARAMS as DEFAULT_METEOR_PARAMS
 from .meteor import MeteorParams, meteor
 from .ngrams import Tokens
@@ -82,7 +80,7 @@ class _Unit:
 
 
 def _collect_units(
-    gt: ScenarioSet, pred: PredictionSet, config: ScoringConfig
+    gt: ScenarioSet, pred: ScenarioSet, config: ScoringConfig
 ) -> dict[str, list[_Unit]]:
     pred_index: dict[tuple[str, str], object] = {}
     for scenario in pred.scenarios:
@@ -137,9 +135,8 @@ def _mean(values: Sequence[float]) -> float:
 
 def score_captions(
     gt: ScenarioSet,
-    pred: PredictionSet,
+    pred: ScenarioSet,
     config: ScoringConfig = DEFAULT_CONFIG,
-    workers: int = 1,
 ) -> CaptionScores:
     """Score a caption submission against ground truth, per split.
 
@@ -156,13 +153,7 @@ def score_captions(
         units = units_by_split[split]
         if units:
             idf = compute_idf([[unit.reference] for unit in units])
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    scored = list(
-                        pool.map(lambda u: _score_unit(u, idf, config), units)
-                    )
-            else:
-                scored = [_score_unit(unit, idf, config) for unit in units]
+            scored = [_score_unit(unit, idf, config) for unit in units]
         else:
             scored = []
         all_segments.extend(scored)
@@ -183,7 +174,5 @@ def score_captions(
 
 def identity_scores(gt: ScenarioSet, config: ScoringConfig = DEFAULT_CONFIG) -> CaptionScores:
     """Score the ground truth against itself (upper-bound sanity check)."""
-    as_predictions = PredictionSet(
-        scenarios=[replace(s, split=None) for s in gt.scenarios]
-    )
+    as_predictions = ScenarioSet(scenarios=[replace(s, split=None) for s in gt.scenarios])
     return score_captions(gt, as_predictions, config)

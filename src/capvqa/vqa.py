@@ -150,8 +150,7 @@ def accuracy(
     missing = [item.id for item in items if item.id not in by_id]
     if missing and missing_policy == "strict":
         raise ValidationFailure(
-            f"{len(missing)} item(s) have no prediction: {', '.join(sorted(missing))}",
-            report=sorted(missing),
+            f"{len(missing)} item(s) have no prediction: {', '.join(sorted(missing))}"
         )
 
     correct = 0

@@ -218,6 +218,20 @@ def test_acc_override_out_of_range_exits_2(fixtures_dir, capsys):
     assert "acc" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "2"])
+def test_acc_override_checked_before_inputs_are_read(tmp_path, capsys, value):
+    code = cli.main([
+        "score-all",
+        "--gt-captions", str(tmp_path / "missing.json"),
+        "--pred-captions", str(tmp_path / "missing.json"),
+        "--acc", value,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --acc must be a finite fraction in [0, 1], got {float(value)}\n"
+    )
+
+
 def test_score_all_without_vqa_inputs_exits_2(fixtures_dir, capsys):
     assert cli.main(["score-all", *_fixture_args(fixtures_dir)]) == 2
     assert "--acc" in capsys.readouterr().err
@@ -258,23 +272,11 @@ def test_zero_workers_exits_2(fixtures_dir, capsys):
     assert "worker count" in capsys.readouterr().err
 
 
-def test_workers_env_override(fixtures_dir, capsys, monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV_VAR, "2")
+def test_workers_env_variable_is_not_read(fixtures_dir, capsys, monkeypatch):
+    monkeypatch.setenv("CAPVQA_WORKERS", "abc")
     assert cli.main(_score_all_args(fixtures_dir)) == 0
     golden = (fixtures_dir / "golden" / "score_all_report.md").read_text()
     assert capsys.readouterr().out == golden
-
-
-def test_default_worker_count_is_one(monkeypatch):
-    monkeypatch.delenv(cli.WORKERS_ENV_VAR, raising=False)
-    assert cli._default_workers() == 1
-
-
-def test_non_integer_workers_env_exits_2(fixtures_dir, capsys, monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV_VAR, "abc")
-    assert cli.main(_score_all_args(fixtures_dir)) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {cli.WORKERS_ENV_VAR} must be an integer, got 'abc'\n"
 
 
 @pytest.mark.parametrize(
@@ -343,7 +345,8 @@ def test_cli_import_leaves_numpy_unloaded():
     # for numpy's import; they must still import from the package
     code = (
         "import sys, capvqa.cli\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "for name in ('numpy', 'concurrent.futures'):\n"
+        "    assert name not in sys.modules, name + ' imported'\n"
         "from capvqa import lora_merge\n"
         "assert 'numpy' in sys.modules and callable(lora_merge)\n"
     )
