@@ -13,8 +13,7 @@ sit above 1, which a plain average of cosines cannot produce, so the
 conventional scale of 10 is the default and is configurable.
 
 Scoring is two-phase: build an immutable `CiderCorpusIdf` over the
-evaluation corpus once, then score any number of candidates against it
-(concurrently if desired).
+evaluation corpus once, then score any number of candidates against it.
 """
 
 import math

@@ -130,7 +130,8 @@ def _scoring_config(args) -> scoring.ScoringConfig:
     )
 
 
-def _score_caption_files(args) -> scoring.CaptionScores:
+def _score_caption_files(args) -> tuple[dataset_io.ScenarioSet, scoring.CaptionScores]:
+    """The caption ground truth and the submission's scores against it."""
     if args.workers < 1:
         raise ValueError(f"worker count must be >= 1, got {args.workers}")
     gt = dataset_io.load_ground_truth(args.gt_captions)
@@ -139,17 +140,27 @@ def _score_caption_files(args) -> scoring.CaptionScores:
         validation = dataset_io.validate(gt, pred)
         if not validation.is_empty():
             raise ValidationFailure(validation.summary())
-    return scoring.score_captions(gt, pred, _scoring_config(args))
+    return gt, scoring.score_captions(gt, pred, _scoring_config(args))
 
 
 def cmd_score_captions(args) -> int:
-    scores = _score_caption_files(args)
+    _, scores = _score_caption_files(args)
     _emit(report.render_split_table([scores.internal, scores.external], args.format), args)
     return 0
 
 
-def _score_vqa_files(args) -> vqa.AccuracyResult:
+def _score_vqa_files(args, gt: dataset_io.ScenarioSet | None = None) -> vqa.AccuracyResult:
+    """VQA accuracy; under `--strict`, every question's segment must be in `gt` if given."""
     items = dataset_io.load_vqa_items(args.gt_vqa)
+    if args.strict and gt is not None:
+        known = {f"{scenario_id}/{phase}" for scenario_id, phase in gt.segment_keys()}
+        for idx, item in enumerate(items):
+            if item.segment_id not in known:
+                raise ValidationFailure(
+                    f"question {item.id!r} (at questions[{idx}]) names segment "
+                    f"{item.segment_id!r}, which is not a scenario/phase of the "
+                    "caption ground truth"
+                )
     predictions = dataset_io.load_vqa_predictions(args.pred_vqa)
     policy = "strict" if args.strict else "missing-is-wrong"
     return vqa.accuracy(items, predictions, missing_policy=policy)
@@ -180,11 +191,11 @@ def cmd_score_all(args) -> int:
     # checked here, not in argparse, so a bad --acc exits 2 through main before any input is read
     if args.acc is not None and not 0.0 <= args.acc <= 1.0:
         raise ValueError(f"--acc must be a finite fraction in [0, 1], got {args.acc}")
-    caption_scores = _score_caption_files(args)
+    gt, caption_scores = _score_caption_files(args)
     if args.acc is not None:
         acc = args.acc
     else:
-        acc = _score_vqa_files(args).acc_float
+        acc = _score_vqa_files(args, gt).acc_float
     aggregated = composite.aggregate_splits(
         caption_scores.internal, caption_scores.external, mode=args.aggregation
     )

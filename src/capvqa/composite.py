@@ -55,8 +55,9 @@ def aggregate_splits(
 ) -> dict[str, float]:
     """Combine the two splits into one value per metric.
 
-    `mean` weights the splits equally; `segment-weighted` weights them by
-    their segment counts.
+    `mean` weights the splits equally, so it rejects a split with no
+    segments rather than average it in as 0; `segment-weighted` weights
+    them by their segment counts.
     """
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"mode must be one of {AGGREGATION_MODES}, got {mode!r}")
@@ -67,6 +68,12 @@ def aggregate_splits(
         w_int = internal.segments / total
         w_ext = external.segments / total
     else:
+        for split in (internal, external):
+            if split.segments == 0:
+                raise ValueError(
+                    f"split {split.split!r} has no segments, so mean aggregation would "
+                    "average it in as 0; use segment-weighted aggregation"
+                )
         w_int = w_ext = 0.5
     return {
         name: w_int * getattr(internal, name) + w_ext * getattr(external, name)

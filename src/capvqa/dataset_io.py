@@ -85,6 +85,10 @@ def _load_json(path) -> Any:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{path} is not valid UTF-8: {exc.reason}", locator=f"byte {exc.start}"
+        ) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -217,11 +221,18 @@ def _gc_paused():
 
 @_gc_paused()
 def load_vqa_items(path) -> list[VqaItem]:
-    """Load the VQA gold file."""
+    """Load the VQA gold file.
+
+    Each record is dropped from the parsed document once its item is
+    built, and equal segment and question strings share one object, so
+    the document's copies are freed as the load goes.
+    """
     root = _expect(_load_json(path), dict, str(path))
+    questions = _field(root, "questions", list, str(path))
     items = []
     seen_ids = set()
-    for idx, record in enumerate(_field(root, "questions", list, str(path))):
+    memo: dict[str, str] = {}
+    for idx, record in enumerate(questions):
         if not (
             isinstance(record, dict)
             and isinstance(item_id := record.get("id"), str)
@@ -236,10 +247,14 @@ def load_vqa_items(path) -> list[VqaItem]:
             _raise_question_error(record, f"questions[{idx}]", seen_ids)
         seen_ids.add(item_id)
         try:
-            items.append(VqaItem(item_id, segment_id, question, options, gold))
+            items.append(VqaItem(
+                item_id, memo.setdefault(segment_id, segment_id),
+                memo.setdefault(question, question), options, gold,
+            ))
         except SchemaError as exc:
             # VqaItem does not know where its record sits in the file
             raise SchemaError(str(exc), locator=f"questions[{idx}]") from exc
+        questions[idx] = None
     return items
 
 

@@ -340,6 +340,62 @@ def test_deeply_nested_input_exits_2(tmp_path, fixtures_dir, capsys, flag):
     assert err == f"error: {deep} is nested too deeply to parse\n"
 
 
+@pytest.mark.parametrize("flag", ["--gt-captions", "--pred-captions", "--gt-vqa", "--pred-vqa"])
+def test_invalid_utf8_input_names_the_file(tmp_path, fixtures_dir, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"answers": "\xff"}')
+    args = _score_all_args(fixtures_dir)
+    args[args.index(flag) + 1] = str(bad)
+    assert cli.main(args) == 2
+    assert _stderr_line(capsys) == (
+        f"error: {bad} is not valid UTF-8: invalid start byte (at byte 13)\n"
+    )
+
+
+def _internal_only_ground_truth(tmp_path, fixtures_dir) -> Path:
+    doc = json.loads((fixtures_dir / "captions_gt.json").read_text())
+    for scenario in doc["scenarios"]:
+        scenario["split"] = "internal"
+    path = tmp_path / "internal_gt.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_mean_aggregation_rejects_an_empty_split(tmp_path, fixtures_dir, capsys):
+    argv = _score_all_args(fixtures_dir)
+    argv[argv.index("--gt-captions") + 1] = str(_internal_only_ground_truth(tmp_path, fixtures_dir))
+    assert cli.main(argv) == 2
+    assert _stderr_line(capsys) == (
+        "error: split 'external' has no segments, so mean aggregation would average it "
+        "in as 0; use segment-weighted aggregation\n"
+    )
+    assert cli.main([*argv, "--aggregation", "segment-weighted", "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["external"]["segments"] == 0
+    assert got["aggregated"]["bleu4"] == got["internal"]["bleu4"]
+
+
+def test_strict_score_all_checks_vqa_segments(tmp_path, fixtures_dir, capsys):
+    golden = (fixtures_dir / "golden" / "score_all_report.md").read_text()
+    assert cli.main(_score_all_args(fixtures_dir, "--strict")) == 0
+    assert capsys.readouterr().out == golden
+    doc = json.loads((fixtures_dir / "vqa_gold.json").read_text())
+    doc["questions"][1]["segment"] = "nope/action"
+    doc["questions"][3]["segment"] = "scenario_001/nope"
+    gold_path = tmp_path / "gold.json"
+    gold_path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = _score_all_args(fixtures_dir)
+    argv[argv.index("--gt-vqa") + 1] = str(gold_path)
+    assert cli.main([*argv, "--strict"]) == 1
+    assert capsys.readouterr().err == (
+        "validation failed:\nquestion 'q2' (at questions[1]) names segment 'nope/action', "
+        "which is not a scenario/phase of the caption ground truth\n"
+    )
+    # without --strict the segment ids are not checked, and the report is unchanged
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == golden
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # the adapter names are resolved on first access, so scoring never pays
     # for numpy's import; they must still import from the package

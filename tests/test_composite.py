@@ -34,16 +34,30 @@ def test_negative_metric_rejected():
 
 
 def test_identical_splits_aggregate_to_themselves():
-    split = _split("internal", 0.3, 0.4, 0.5, 1.2)
-    other = _split("external", 0.3, 0.4, 0.5, 1.2)
+    split = _split("internal", 0.3, 0.4, 0.5, 1.2, segments=5)
+    other = _split("external", 0.3, 0.4, 0.5, 1.2, segments=10)
     assert aggregate_splits(split, other) == {
         "bleu4": 0.3, "meteor": 0.4, "rouge_l": 0.5, "cider": 1.2,
     }
 
 
 def test_unweighted_mean():
-    result = aggregate_splits(_split("internal", 0.2), _split("external", 0.4))
+    # equal weights whatever the segment counts
+    result = aggregate_splits(
+        _split("internal", 0.2, segments=1), _split("external", 0.4, segments=3)
+    )
     assert result["bleu4"] == pytest.approx(0.3, abs=1e-15)
+
+
+@pytest.mark.parametrize("empty", ["internal", "external"])
+def test_mean_rejects_an_empty_split(empty):
+    # averaging an empty split in as 0 would halve the caption score
+    counts = {"internal": 4, "external": 4, empty: 0}
+    with pytest.raises(ValueError, match=f"split '{empty}' has no segments.*segment-weighted"):
+        aggregate_splits(
+            _split("internal", 0.2, segments=counts["internal"]),
+            _split("external", 0.4, segments=counts["external"]),
+        )
 
 
 def test_segment_weighted_mean():

@@ -237,6 +237,11 @@ def _question(**changes):
             [_question(), _question(id="q2", segment=5)],
             "expected str, got int (at questions[1].segment)",
         ),
+        # the first faulty record is reported, whichever check finds its fault
+        (
+            [_question(), _question(id="q2", options=["A b", "a, b!"]), _question(id=3)],
+            "question 'q2' has options that collide after normalization (at questions[1])",
+        ),
     ],
 )
 def test_vqa_item_schema_error_messages(tmp_path, records, message):
@@ -244,6 +249,20 @@ def test_vqa_item_schema_error_messages(tmp_path, records, message):
     with pytest.raises(SchemaError) as error:
         load_vqa_items(path)
     assert str(error.value) == message
+
+
+def test_loaded_items_share_segment_strings_and_equal_items_built_one_by_one(tmp_path):
+    records = [
+        _question(id=f"q{i}", segment=f"s{i % 3}/action", options=[f"Option {i}.", "other"])
+        for i in range(12)
+    ]
+    items = load_vqa_items(_write(tmp_path, "vqa.json", {"questions": records}))
+    assert items == [
+        dataset_io.VqaItem(r["id"], r["segment"], r["question"], r["options"], r["correct"])
+        for r in records
+    ]
+    assert len({id(item.segment_id) for item in items}) == 3
+    assert len({id(item.question) for item in items}) == 1
 
 
 @pytest.mark.parametrize(

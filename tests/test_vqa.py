@@ -93,8 +93,15 @@ def test_never_raises_on_arbitrary_text():
         assert result is NO_ANSWER or 0 <= result < len(OPTIONS)
 
 
-# few letters, so options repeat tokens and contain one another
-_TEXTS = st.text(alphabet="aAbB" + PUNCTUATION + " \t\u2003\x1c", max_size=12)
+# Few letters, so options repeat tokens and contain one another. Also NUL
+# (the batch separator), lone surrogates and a surrogate pair written as
+# two code points, which `st.text` never draws, and characters whose
+# lowercase depends on context (final sigma) or is longer (dotted I).
+_ALPHABET = [
+    *"aAbB", *PUNCTUATION, " ", "\t", "\u2003", "\x1c",
+    "\x00", "\ud800", "\udfff", "\ud83d\ude00", "\u03a3", "\u0130",
+]
+_TEXTS = st.lists(st.sampled_from(_ALPHABET), max_size=12).map("".join)
 
 
 @st.composite
@@ -125,10 +132,26 @@ def test_normalize_answer_matches_slice_reference(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text())
+@given(st.one_of(st.text(), _TEXTS))
 def test_normalized_text_has_the_strip_tokenizer_tokens(text):
     expected = tokenize(text, TokenizerConfig(punctuation_policy="strip"))
     assert vqa._normalize_tokens(text) == " ".join(expected)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(_TEXTS, max_size=6))
+def test_batched_normalization_matches_the_per_text_reference(texts):
+    expected = tuple(" ".join(oracles._normalize_tokens(text)) for text in texts)
+    assert vqa._normalize_many(texts) == expected
+
+
+def test_batched_normalization_edge_cases():
+    assert vqa._normalize_many([]) == ()
+    # final sigma: each text ends at the separator, as it would on its own
+    assert vqa._normalize_many(["A\u03a3", "\u03a3B"]) == ("a\u03c2", "\u03c3b")
+    # a text holding the separator falls back to one text at a time
+    assert vqa._normalize_many(["a\x00b.", "C!"]) == ("a\x00b", "c")
+    assert vqa._normalize_many(["\ud83d\ude00?", "\udfff"]) == ("\ud83d\ude00", "\udfff")
 
 
 def test_all_correct():
@@ -153,15 +176,24 @@ def test_three_of_five_correct():
 
 
 def test_accuracy_normalizes_each_option_once(monkeypatch):
+    batches = []
+    original_many = vqa._normalize_many
+    monkeypatch.setattr(
+        vqa, "_normalize_many", lambda texts: batches.append(list(texts)) or original_many(texts)
+    )
     items = [_item(f"q{i}", gold=2) for i in range(5)]
+    # one batch per item, when the item is built
+    assert batches == [OPTIONS] * 5
     answers = ["the light was red", "I think nothing happened", "C", "???", "the vehicle stopped"]
     predictions = [VqaPrediction(f"q{i}", raw) for i, raw in enumerate(answers)]
     expected = sum(normalize_answer(raw, OPTIONS) == 2 for raw in answers)
+    batches.clear()
     calls = []
     original = vqa._normalize_tokens
     monkeypatch.setattr(vqa, "_normalize_tokens", lambda text: calls.append(text) or original(text))
     assert accuracy(items, predictions).correct == expected == 2
-    # options were normalized when the items were built; only free-text answers are now
+    # accuracy never normalizes an option again; only free-text answers are
+    assert batches == []
     assert sorted(calls) == sorted(raw for raw in answers if raw != "C")
 
 
