@@ -3,9 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import capvqa
@@ -47,8 +50,56 @@ def test_score_all_matches_markdown_golden(fixtures_dir, capsys):
 
 def test_score_all_matches_json_golden(fixtures_dir, capsys):
     assert cli.main(_score_all_args(fixtures_dir, "--workers", "2", "--format", "json")) == 0
-    golden = json.loads((fixtures_dir / "golden" / "score_all_report.json").read_text())
-    assert json.loads(capsys.readouterr().out) == golden
+    golden = (fixtures_dir / "golden" / "score_all_report.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+_GOLDEN_EXTENSIONS = {"markdown": "md", "csv": "csv", "json": "json"}
+
+
+@pytest.mark.parametrize("format", sorted(_GOLDEN_EXTENSIONS))
+@pytest.mark.parametrize("command", ["score-captions", "score-vqa", "score-all"])
+def test_every_document_matches_its_byte_golden(fixtures_dir, capsys, command, format):
+    argv = {
+        "score-captions": ["score-captions", *_fixture_args(fixtures_dir)],
+        "score-vqa": ["score-vqa", *_vqa_args(fixtures_dir)],
+        "score-all": _score_all_args(fixtures_dir),
+    }[command]
+    assert cli.main([*argv, "--format", format]) == 0
+    name = f"{command.replace('-', '_')}_report.{_GOLDEN_EXTENSIONS[format]}"
+    golden = (fixtures_dir / "golden" / name).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+def _shuffled_fixture(fixtures_dir, out_dir, name, rng):
+    """Copy a fixture file with every list it holds shuffled by `rng`."""
+    doc = json.loads((fixtures_dir / name).read_text(encoding="utf-8"))
+    for key in ("scenarios", "questions", "answers"):
+        rng.shuffle(doc.get(key, []))
+    for scenario in doc.get("scenarios", []):
+        rng.shuffle(scenario["segments"])
+    path = Path(out_dir) / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+# `fixtures_dir` is a constant path, so sharing it across examples is safe
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rng=st.randoms(use_true_random=False), format=st.sampled_from(sorted(_GOLDEN_EXTENSIONS)))
+def test_score_all_never_depends_on_input_order(fixtures_dir, rng, format):
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = ["score-all", "--label", "toy", "--format", format]
+        for flag, name in (
+            ("--gt-captions", "captions_gt.json"),
+            ("--pred-captions", "captions_pred.json"),
+            ("--gt-vqa", "vqa_gold.json"),
+            ("--pred-vqa", "vqa_pred.json"),
+        ):
+            argv += [flag, _shuffled_fixture(fixtures_dir, out_dir, name, rng)]
+        out = Path(out_dir) / "report"
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        golden = fixtures_dir / "golden" / f"score_all_report.{_GOLDEN_EXTENSIONS[format]}"
+        assert out.read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
 
 
 def test_worker_count_never_changes_output(fixtures_dir, capsys):
