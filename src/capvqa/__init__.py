@@ -19,7 +19,7 @@ from .dataset_io import (
 )
 from .errors import SchemaError, ValidationFailure
 from .meteor import MeteorAlignment, MeteorBreakdown, MeteorParams, align, meteor
-from .ngrams import NGramCounts, clipped_matches, extract_ngrams
+from .ngrams import clipped_matches, extract_ngrams
 from .report import RankedEntry, ResultRow, rank_leaderboard, render_leaderboard, render_table
 from .rouge import RougeBreakdown, lcs_length, rouge_l
 from .scoring import CaptionScores, ScoringConfig, SegmentScore, score_captions
@@ -53,7 +53,6 @@ __all__ = [
     "MeteorAlignment",
     "MeteorBreakdown",
     "MeteorParams",
-    "NGramCounts",
     "NO_ANSWER",
     "RankedEntry",
     "ResultRow",

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ngrams import MAX_ORDER, clipped_counts, ngram_table
+from .ngrams import MAX_ORDER, clipped_matches, ngram_table
 
 ZERO_PRECISION_POLICIES = ("hard-zero", "epsilon")
 EPSILON_FLOOR = 1e-9
@@ -72,7 +72,7 @@ def bleu4(
         if total <= 0:
             p = 0.0
         else:
-            p = clipped_counts(cand_table[n - 1], [table[n - 1] for table in ref_tables]) / total
+            p = clipped_matches(cand_table[n - 1], [table[n - 1] for table in ref_tables]) / total
         if p == 0.0 and zero_policy == "epsilon":
             p = EPSILON_FLOOR
         precisions.append(p)

@@ -92,7 +92,7 @@ def _tfidf(counts: Counter, n: int, idf: CiderCorpusIdf) -> dict[tuple, float]:
 
 def tfidf_vector(tokens: Sequence[str], n: int, idf: CiderCorpusIdf) -> dict[tuple, float]:
     """Sparse TF-IDF vector over the order-n n-grams of one caption."""
-    return _tfidf(extract_ngrams(tokens, n).counts, n, idf)
+    return _tfidf(extract_ngrams(tokens, n), n, idf)
 
 
 def _cosine(a: Mapping[tuple, float], b: Mapping[tuple, float]) -> float:

@@ -15,7 +15,6 @@ byte-identical output.
 """
 
 import argparse
-import json
 import math
 import sys
 
@@ -139,7 +138,7 @@ def _score_caption_files(args) -> tuple[dataset_io.ScenarioSet, scoring.CaptionS
     if args.strict:
         validation = dataset_io.validate(gt, pred)
         if not validation.is_empty():
-            raise ValidationFailure(validation.summary())
+            raise ValidationFailure(validation.one_line())
     return gt, scoring.score_captions(gt, pred, _scoring_config(args))
 
 
@@ -167,21 +166,7 @@ def _score_vqa_files(args, gt: dataset_io.ScenarioSet | None = None) -> vqa.Accu
 
 
 def cmd_score_vqa(args) -> int:
-    result = _score_vqa_files(args)
-    if args.format == "json":
-        document = json.dumps(
-            {"total": result.total, "correct": result.correct, "acc": result.acc_float},
-            indent=2,
-        ) + "\n"
-    elif args.format == "csv":
-        document = f"total,correct,acc\n{result.total},{result.correct},{result.acc_float:.4f}\n"
-    else:
-        document = (
-            f"Total: {result.total}\n"
-            f"Correct: {result.correct}\n"
-            f"Acc: {result.acc_float:.4f}\n"
-        )
-    _emit(document, args)
+    _emit(report.render_vqa(_score_vqa_files(args), args.format), args)
     return 0
 
 
@@ -196,50 +181,12 @@ def cmd_score_all(args) -> int:
         acc = args.acc
     else:
         acc = _score_vqa_files(args, gt).acc_float
-    aggregated = composite.aggregate_splits(
-        caption_scores.internal, caption_scores.external, mode=args.aggregation
+    internal, external = caption_scores.internal, caption_scores.external
+    aggregated = composite.aggregate_splits(internal, external, mode=args.aggregation)
+    final = composite.s2(composite.cap_score(**aggregated), acc)
+    document = report.render_score_all(
+        args.label, internal, external, aggregated, final, args.format
     )
-    cap = composite.cap_score(**aggregated)
-    final = composite.s2(cap, acc)
-
-    row = report.ResultRow(
-        label=args.label,
-        internal=caption_scores.internal,
-        external=caption_scores.external,
-        acc=final.acc,
-        s2=final.s2,
-    )
-    if args.format == "json":
-        percent = final.as_percent()
-        document = json.dumps(
-            {
-                "label": args.label,
-                "internal": dict(
-                    segments=caption_scores.internal.segments,
-                    **caption_scores.internal.as_dict(),
-                ),
-                "external": dict(
-                    segments=caption_scores.external.segments,
-                    **caption_scores.external.as_dict(),
-                ),
-                "aggregated": aggregated,
-                "cap_score": final.cap_score,
-                "acc": final.acc,
-                "s2": final.s2,
-                "percent": percent,
-            },
-            indent=2,
-        ) + "\n"
-    else:
-        table = report.render_table([row], args.format)
-        percent = final.as_percent()
-        document = (
-            table
-            + "\n"
-            + f"Cap_Score: {final.cap_score:.4f} ({percent['cap_score']:.4f}%)\n"
-            + f"Acc: {final.acc:.4f} ({percent['acc']:.4f}%)\n"
-            + f"S2: {final.s2:.4f} ({percent['s2']:.4f}%)\n"
-        )
     _emit(document, args)
     return 0
 
@@ -307,7 +254,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValidationFailure as exc:
-        sys.stderr.write(f"validation failed:\n{exc}\n")
+        sys.stderr.write(f"validation failed: {exc}\n")
         return 1
     except (SchemaError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

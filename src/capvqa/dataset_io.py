@@ -79,6 +79,14 @@ class ValidationReport:
             lines.append(f"extra: {scenario_id}/{phase}")
         return "\n".join(lines) if lines else "submission is complete and well-formed"
 
+    def one_line(self) -> str:
+        """The counts and the first line of `summary`, for a strict failure."""
+        first = self.summary().split("\n", 1)[0]
+        return (
+            f"{len(self.missing_segments)} missing and {len(self.extra_segments)} extra "
+            f"segment(s), first {first}"
+        )
+
 
 def _load_json(path) -> Any:
     try:

@@ -2,22 +2,10 @@
 
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
 MAX_ORDER = 4
-
-
-@dataclass
-class NGramCounts:
-    """Counts of every contiguous n-token window of one sequence."""
-
-    order: int
-    counts: Counter = field(default_factory=Counter)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def windows(tokens: Sequence[str], n: int) -> Iterator[tuple]:
@@ -26,14 +14,14 @@ def windows(tokens: Sequence[str], n: int) -> Iterator[tuple]:
     return zip(*(tokens[k:] for k in range(n)))
 
 
-def extract_ngrams(tokens: Sequence[str], n: int) -> NGramCounts:
+def extract_ngrams(tokens: Sequence[str], n: int) -> Counter:
     """Count every n-token window with multiplicity.
 
     A sequence shorter than n has no windows and yields empty counts.
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"n-gram order must be in [1, {MAX_ORDER}], got {n}")
-    return NGramCounts(order=n, counts=Counter(windows(tokens, n)))
+    return Counter(windows(tokens, n))
 
 
 class Tokens(tuple):
@@ -62,26 +50,15 @@ def ngram_table(tokens: Sequence[str]) -> tuple[Counter, ...]:
     return (tokens if isinstance(tokens, Tokens) else Tokens(tokens)).ngrams
 
 
-def clipped_counts(candidate: Counter, references: Sequence[Counter]) -> int:
-    """`clipped_matches` over bare counts of one order (all counts positive)."""
+def clipped_matches(candidate: Counter, references: Sequence[Counter]) -> int:
+    """Candidate n-gram count clipped to the per-gram maximum over references.
+
+    This is the numerator of BLEU's modified precision: each candidate
+    n-gram earns credit at most as many times as its best reference
+    contains it. All counts are of one order and positive.
+    """
     if not references:
         return 0
     # `|` keeps each gram's largest count; one reference is its own ceiling
     ceiling = references[0] if len(references) == 1 else reduce(operator.or_, references)
     return sum([min(candidate[gram], ceiling[gram]) for gram in candidate.keys() & ceiling.keys()])
-
-
-def clipped_matches(candidate: NGramCounts, references: Sequence[NGramCounts]) -> int:
-    """Candidate n-gram count clipped to the per-gram maximum over references.
-
-    This is the numerator of BLEU's modified precision: each candidate
-    n-gram earns credit at most as many times as its best reference
-    contains it.
-    """
-    for ref in references:
-        if ref.order != candidate.order:
-            raise ValueError(
-                f"order mismatch: candidate has {candidate.order}, "
-                f"reference has {ref.order}"
-            )
-    return clipped_counts(candidate.counts, [ref.counts for ref in references])

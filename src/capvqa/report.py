@@ -1,5 +1,6 @@
-"""Result tables and leaderboards.
+"""Every document the CLI prints: result tables, reports and leaderboards.
 
+All of them go through `_render`, the one place that knows the formats.
 Numbers are rendered with 4 decimal places in markdown and csv; the json
 format preserves full precision and round-trips. Rendering is a pure
 function of its inputs: equal inputs give byte-identical documents.
@@ -9,7 +10,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .composite import SplitScores
+from .composite import FinalScore, SplitScores
+from .vqa import AccuracyResult
 
 FORMATS = ("markdown", "csv", "json")
 
@@ -61,43 +63,86 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _csv_line(fields: Sequence[str]) -> str:
-    return ",".join(_csv_field(f) for f in fields)
+def _render(
+    format: str,
+    header: Sequence[str],
+    body: Sequence[Sequence[str]],
+    doc,
+    footer: Sequence[str] = (),
+    labelled: bool = False,
+) -> str:
+    """Every document: `doc` as json, else `body` under `header` then `footer` lines.
+
+    Markdown draws a table, or with `labelled` the one body row as
+    `Header: value` lines.
+    """
+    if format not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+    if format == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    if format == "csv":
+        lines = [",".join(map(_csv_field, row)) for row in (header, *body)]
+    elif labelled:
+        lines = [f"{name.capitalize()}: {value}" for name, value in zip(header, body[0])]
+    else:
+        lines = ["| " + " | ".join(row) + " |" for row in (header, ["---"] * len(header), *body)]
+    return "".join(line + "\n" for line in [*lines, *footer])
 
 
-def _markdown_table(header: Sequence[str], body: Sequence[Sequence[str]]) -> str:
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join(" --- " for _ in header) + "|",
-    ]
-    lines.extend("| " + " | ".join(row) + " |" for row in body)
-    return "\n".join(lines) + "\n"
+def _cells(row: ResultRow) -> list[str]:
+    return [row.label] + [_fmt(v) for v in row.values()]
 
 
 def render_table(rows: Sequence[ResultRow], format: str = "markdown") -> str:
     """Render result rows in the benchmark's split-column layout."""
-    if format not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     if not rows:
         raise ValueError("render_table requires at least one row")
-    if format == "json":
-        doc = [
-            {
-                "label": row.label,
-                "internal": row.internal.as_dict(),
-                "external": row.external.as_dict(),
-                "acc": row.acc,
-                "s2": row.s2,
-            }
-            for row in rows
-        ]
-        return json.dumps(doc, indent=2) + "\n"
-    body = [[row.label] + [_fmt(v) for v in row.values()] for row in rows]
-    if format == "csv":
-        lines = [_csv_line(TABLE_COLUMNS)]
-        lines.extend(_csv_line(row) for row in body)
-        return "\n".join(lines) + "\n"
-    return _markdown_table(TABLE_COLUMNS, body)
+    doc = [
+        {
+            "label": row.label,
+            "internal": row.internal.as_dict(),
+            "external": row.external.as_dict(),
+            "acc": row.acc,
+            "s2": row.s2,
+        }
+        for row in rows
+    ]
+    return _render(format, TABLE_COLUMNS, [_cells(row) for row in rows], doc)
+
+
+def render_score_all(
+    label: str,
+    internal: SplitScores,
+    external: SplitScores,
+    aggregated: dict[str, float],
+    final: FinalScore,
+    format: str = "markdown",
+) -> str:
+    """The `score-all` report: the result row, then the composite scores."""
+    percent = final.as_percent()
+    doc = {
+        "label": label,
+        "internal": dict(segments=internal.segments, **internal.as_dict()),
+        "external": dict(segments=external.segments, **external.as_dict()),
+        "aggregated": aggregated,
+        "cap_score": final.cap_score,
+        "acc": final.acc,
+        "s2": final.s2,
+        "percent": percent,
+    }
+    footer = [""] + [
+        f"{name}: {getattr(final, key):.4f} ({percent[key]:.4f}%)"
+        for key, name in (("cap_score", "Cap_Score"), ("acc", "Acc"), ("s2", "S2"))
+    ]
+    row = ResultRow(label, internal, external, acc=final.acc, s2=final.s2)
+    return _render(format, TABLE_COLUMNS, [_cells(row)], doc, footer)
+
+
+def render_vqa(result: AccuracyResult, format: str = "markdown") -> str:
+    """The `score-vqa` report; its markdown is labelled lines, not a table."""
+    doc = {"total": result.total, "correct": result.correct, "acc": result.acc_float}
+    body = [[str(result.total), str(result.correct), _fmt(result.acc_float)]]
+    return _render(format, tuple(doc), body, doc, labelled=True)
 
 
 def parse_table_json(document: str) -> list[ResultRow]:
@@ -118,19 +163,12 @@ def parse_table_json(document: str) -> list[ResultRow]:
 
 def render_split_table(splits: Sequence[SplitScores], format: str = "markdown") -> str:
     """Per-split caption metrics (one row per split)."""
-    if format not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    if format == "json":
-        doc = [dict(split=s.split, segments=s.segments, **s.as_dict()) for s in splits]
-        return json.dumps(doc, indent=2) + "\n"
-    header = ("Split", "BLEU-4", "METEOR", "ROUGE-L", "CIDEr")
-    body = [
-        [s.split, _fmt(s.bleu4), _fmt(s.meteor), _fmt(s.rouge_l), _fmt(s.cider)]
-        for s in splits
-    ]
-    if format == "csv":
-        return "\n".join([_csv_line(header)] + [_csv_line(r) for r in body]) + "\n"
-    return _markdown_table(header, body)
+    return _render(
+        format,
+        ("Split", "BLEU-4", "METEOR", "ROUGE-L", "CIDEr"),
+        [[s.split] + [_fmt(v) for v in s.as_dict().values()] for s in splits],
+        [dict(split=s.split, segments=s.segments, **s.as_dict()) for s in splits],
+    )
 
 
 @dataclass
@@ -150,13 +188,9 @@ def rank_leaderboard(entries: Sequence[tuple[str, float]]) -> list[RankedEntry]:
 
 
 def render_leaderboard(ranked: Sequence[RankedEntry], format: str = "markdown") -> str:
-    if format not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    if format == "json":
-        doc = [{"rank": e.rank, "name": e.name, "s2": e.s2} for e in ranked]
-        return json.dumps(doc, indent=2) + "\n"
-    header = ("Rank", "Team", "S2")
-    body = [[str(e.rank), e.name, _fmt(e.s2)] for e in ranked]
-    if format == "csv":
-        return "\n".join([_csv_line(header)] + [_csv_line(r) for r in body]) + "\n"
-    return _markdown_table(header, body)
+    return _render(
+        format,
+        ("Rank", "Team", "S2"),
+        [[str(e.rank), e.name, _fmt(e.s2)] for e in ranked],
+        [{"rank": e.rank, "name": e.name, "s2": e.s2} for e in ranked],
+    )

@@ -25,6 +25,8 @@ from .text_norm import PUNCTUATION
 NO_ANSWER = None
 
 MISSING_POLICIES = ("missing-is-wrong", "strict")
+# a strict failure names this many missing ids, so its message stays one short line
+_MISSING_SHOWN = 5
 
 _CHOICE_LETTER = re.compile(r"\s*([A-Za-z])\s*(?:[.):]|$)")
 _PUNCTUATION_BYTES = PUNCTUATION.encode()
@@ -177,11 +179,12 @@ def accuracy(
         by_id[prediction.id] = prediction.raw
 
     if missing_policy == "strict":
-        missing = [item.id for item in items if item.id not in by_id]
+        missing = sorted(item.id for item in items if item.id not in by_id)
         if missing:
-            raise ValidationFailure(
-                f"{len(missing)} item(s) have no prediction: {', '.join(sorted(missing))}"
-            )
+            shown = ", ".join(missing[:_MISSING_SHOWN])
+            if len(missing) > _MISSING_SHOWN:
+                shown += f" and {len(missing) - _MISSING_SHOWN} more"
+            raise ValidationFailure(f"{len(missing)} item(s) have no prediction: {shown}")
 
     correct = 0
     for item in items:

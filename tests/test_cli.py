@@ -84,7 +84,9 @@ def _shuffled_fixture(fixtures_dir, out_dir, name, rng):
 
 
 # `fixtures_dir` is a constant path, so sharing it across examples is safe
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(rng=st.randoms(use_true_random=False), format=st.sampled_from(sorted(_GOLDEN_EXTENSIONS)))
 def test_score_all_never_depends_on_input_order(fixtures_dir, rng, format):
     with tempfile.TemporaryDirectory() as out_dir:
@@ -202,6 +204,20 @@ def test_strict_mode_missing_segment_exits_1(tmp_path, fixtures_dir, capsys):
     assert "scenario_002" in err and dropped["phase"] in err
 
 
+def test_strict_caption_failure_is_one_line(tmp_path, fixtures_dir, capsys):
+    pred_path = tmp_path / "empty.json"
+    pred_path.write_text('{"scenarios": []}', encoding="utf-8")
+    argv = ["--gt-captions", str(fixtures_dir / "captions_gt.json"), "--pred-captions"]
+    assert cli.main(["score-captions", *argv, str(pred_path), "--strict"]) == 1
+    assert capsys.readouterr().err == (
+        "validation failed: 10 missing and 0 extra segment(s), "
+        "first missing: scenario_001/action\n"
+    )
+    # `validate` still lists every segment on stdout
+    assert cli.main(["validate", *argv, str(pred_path)]) == 1
+    assert capsys.readouterr().out.count("missing: ") == 10
+
+
 def test_non_strict_scores_partial_submission(tmp_path, fixtures_dir, capsys):
     doc = json.loads((fixtures_dir / "captions_pred.json").read_text())
     doc["scenarios"][1]["segments"].pop(0)
@@ -243,6 +259,28 @@ def test_vqa_strict_missing_exits_1(tmp_path, fixtures_dir, capsys):
     ])
     assert code == 1
     assert "q5" in capsys.readouterr().err
+
+
+def test_vqa_strict_names_hundreds_of_missing_ids_on_one_short_line(tmp_path, capsys):
+    questions = [
+        {"id": f"q{i:03d}", "segment": "s/action", "question": "?",
+         "options": ["yes", "no"], "correct": 0}
+        for i in range(400)
+    ]
+    gold_path = tmp_path / "gold.json"
+    gold_path.write_text(json.dumps({"questions": questions}), encoding="utf-8")
+    pred_path = tmp_path / "pred.json"
+    pred_path.write_text('{"answers": [{"id": "q000", "raw": "A"}]}', encoding="utf-8")
+    code = cli.main([
+        "score-vqa", "--gt-vqa", str(gold_path), "--pred-vqa", str(pred_path), "--strict",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "validation failed: 399 item(s) have no prediction: "
+        "q001, q002, q003, q004, q005 and 394 more\n"
+    )
+    assert len(err) < 120
 
 
 def test_score_vqa_fixture(fixtures_dir, capsys):
@@ -439,7 +477,7 @@ def test_strict_score_all_checks_vqa_segments(tmp_path, fixtures_dir, capsys):
     argv[argv.index("--gt-vqa") + 1] = str(gold_path)
     assert cli.main([*argv, "--strict"]) == 1
     assert capsys.readouterr().err == (
-        "validation failed:\nquestion 'q2' (at questions[1]) names segment 'nope/action', "
+        "validation failed: question 'q2' (at questions[1]) names segment 'nope/action', "
         "which is not a scenario/phase of the caption ground truth\n"
     )
     # without --strict the segment ids are not checked, and the report is unchanged

@@ -1,13 +1,19 @@
+from fractions import Fraction
+
 import pytest
 
-from capvqa.composite import SplitScores
+from capvqa.composite import FinalScore, SplitScores
 from capvqa.report import (
     ResultRow,
     parse_table_json,
     rank_leaderboard,
     render_leaderboard,
+    render_score_all,
+    render_split_table,
     render_table,
+    render_vqa,
 )
+from capvqa.vqa import AccuracyResult
 
 TOP_TEN = [
     ("CHTTLIOT", 60.0393),
@@ -81,6 +87,22 @@ def test_json_round_trips():
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         render_table([_row()], "html")
+
+
+def test_every_renderer_rejects_an_unknown_format_alike():
+    row = _row()
+    renderers = [
+        lambda f: render_table([row], f),
+        lambda f: render_split_table([row.internal, row.external], f),
+        lambda f: render_leaderboard(rank_leaderboard(TOP_TEN), f),
+        lambda f: render_vqa(AccuracyResult(total=2, correct=1, acc=Fraction(1, 2)), f),
+        lambda f: render_score_all(
+            "run", row.internal, row.external, row.internal.as_dict(), FinalScore(0, 0, 0), f
+        ),
+    ]
+    for render in renderers:
+        with pytest.raises(ValueError, match="format must be one of .*got 'html'"):
+            render("html")
 
 
 def test_empty_rows_rejected():
