@@ -25,6 +25,11 @@ from typing import Mapping, Sequence
 from .ngrams import MAX_ORDER, extract_ngrams, ngram_table, windows
 
 DEFAULT_SCALE = 10.0
+# The largest scale a corpus run accepts. A unit's score is at most the
+# scale, a split mean first sums one score per unit, and reports print
+# Cap_Score (a quarter of four such means) times 100; at 1e300 all of
+# these stay finite for any split of fewer than 1e8 units.
+MAX_SCALE = 1e300
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,24 @@ def _cosine(a: Mapping[tuple, float], b: Mapping[tuple, float]) -> float:
     return dot / (norm_a * norm_b)
 
 
+def length_penalty_spread(sigma: float, name: str = "length_penalty_sigma") -> float:
+    """2 * sigma**2, the denominator of the Gaussian length penalty.
+
+    ValueError unless sigma > 0 and the spread is finite and above zero: a
+    sigma below about 1e-162 squares to 0, and one above about 1e154
+    overflows.
+    """
+    try:
+        spread = 2.0 * sigma**2
+    except OverflowError:
+        spread = math.inf
+    if not (sigma > 0.0 and 0.0 < spread < math.inf):
+        raise ValueError(
+            f"{name} must be a number > 0 whose square is finite and > 0, got {sigma!r}"
+        )
+    return spread
+
+
 def cider(
     candidate: Sequence[str],
     references: Sequence[Sequence[str]],
@@ -124,10 +147,8 @@ def cider(
         raise ValueError("cider requires at least one reference")
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be a finite number > 0, got {scale}")
-    if length_penalty_sigma is not None and not length_penalty_sigma > 0.0:
-        raise ValueError(
-            f"length_penalty_sigma must be positive, got {length_penalty_sigma}"
-        )
+    if length_penalty_sigma is not None:
+        spread = length_penalty_spread(length_penalty_sigma)
     cand_table = ngram_table(candidate)
     ref_tables = [ngram_table(reference) for reference in references]
     per_n = []
@@ -135,10 +156,11 @@ def cider(
         cand_vec = _tfidf(cand_table[n - 1], n, idf)
         sims = []
         for reference, ref_table in zip(references, ref_tables):
-            sim = _cosine(cand_vec, _tfidf(ref_table[n - 1], n, idf))
+            # rounding can lift the cosine of equal vectors an ulp above 1
+            sim = min(_cosine(cand_vec, _tfidf(ref_table[n - 1], n, idf)), 1.0)
             if length_penalty_sigma is not None:
                 delta = len(candidate) - len(reference)
-                sim *= math.exp(-(delta * delta) / (2.0 * length_penalty_sigma**2))
+                sim *= math.exp(-(delta * delta) / spread)
             sims.append(sim)
         per_n.append(math.fsum(sims) / len(references))
     score = scale * math.fsum(per_n) / MAX_ORDER

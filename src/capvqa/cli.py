@@ -20,6 +20,7 @@ import sys
 
 from . import composite, dataset_io, report, scoring, vqa
 from .bleu import ZERO_PRECISION_POLICIES
+from .cider import MAX_SCALE, length_penalty_spread
 from .errors import SchemaError, ValidationFailure
 from .meteor import MeteorParams
 from .rouge import BETA_CONVENTIONS
@@ -54,6 +55,29 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _cider_scale(text: str) -> float:
+    """argparse type for --cider-scale: above zero, and small enough that means stay finite."""
+    value = _positive_finite(text)
+    if value > MAX_SCALE:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_SCALE:g}, so split means and Cap_Score stay finite, "
+            f"got {text!r}"
+        )
+    return value
+
+
+def _length_penalty_sigma(text: str) -> float:
+    """argparse type for --cider-length-penalty-sigma: its square must be finite and > 0."""
+    value = _positive_finite(text)
+    try:
+        length_penalty_spread(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a number whose square is finite and > 0, got {text!r}"
+        ) from None
+    return value
+
+
 def _add_caption_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--gt-captions", required=True, help="ground-truth caption JSON")
     parser.add_argument("--pred-captions", required=True, help="predicted caption JSON")
@@ -74,13 +98,13 @@ def _add_caption_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--meteor-gamma", type=_finite, default=0.5)
     parser.add_argument(
         "--cider-scale",
-        type=_positive_finite,
+        type=_cider_scale,
         default=10.0,
         help="display scale applied to the consensus metric (default: %(default)s)",
     )
     parser.add_argument(
         "--cider-length-penalty-sigma",
-        type=_positive_finite,
+        type=_length_penalty_sigma,
         default=None,
         help="enable the Gaussian length penalty variant with this sigma",
     )

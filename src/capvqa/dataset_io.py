@@ -106,6 +106,8 @@ def _load_json(path) -> Any:
         ) from exc
     except RecursionError as exc:
         raise SchemaError(f"{path} is nested too deeply to parse") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise SchemaError(f"{path} holds a number that cannot be parsed: {exc}") from exc
 
 
 def _expect(value, expected_type, locator: str):

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .bleu import bleu4
-from .cider import DEFAULT_SCALE, CiderCorpusIdf, cider, compute_idf
+from .cider import (
+    DEFAULT_SCALE,
+    MAX_SCALE,
+    CiderCorpusIdf,
+    cider,
+    compute_idf,
+    length_penalty_spread,
+)
 from .composite import SplitScores
 from .dataset_io import PHASES, SPLITS, ScenarioSet
 from .meteor import DEFAULT_PARAMS as DEFAULT_METEOR_PARAMS
@@ -39,14 +46,14 @@ class ScoringConfig:
     cider_length_penalty_sigma: float | None = None
 
     def __post_init__(self):
-        _check_positive_finite("cider_scale", self.cider_scale)
+        # NaN fails the comparison and infinity the bound
+        if not 0.0 < self.cider_scale <= MAX_SCALE:
+            raise ValueError(
+                f"cider_scale must be a number > 0 and at most {MAX_SCALE:g}, "
+                f"got {self.cider_scale!r}"
+            )
         if self.cider_length_penalty_sigma is not None:
-            _check_positive_finite("cider_length_penalty_sigma", self.cider_length_penalty_sigma)
-
-
-def _check_positive_finite(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+            length_penalty_spread(self.cider_length_penalty_sigma, "cider_length_penalty_sigma")
 
 
 DEFAULT_CONFIG = ScoringConfig()

@@ -155,7 +155,7 @@ def test_scale_must_be_finite_and_positive(scale):
         cider(["a"], refs, compute_idf([refs]), scale=scale)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, 1e-200, 1e200])
 def test_length_penalty_sigma_must_be_positive(sigma):
     refs = [["a", "b"]]
     with pytest.raises(ValueError, match="length_penalty_sigma"):

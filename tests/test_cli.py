@@ -441,6 +441,18 @@ def test_invalid_utf8_input_names_the_file(tmp_path, fixtures_dir, capsys, flag)
     )
 
 
+@pytest.mark.parametrize("flag", ["--gt-captions", "--pred-captions", "--gt-vqa", "--pred-vqa"])
+def test_integer_past_the_digit_limit_names_the_file(tmp_path, fixtures_dir, capsys, flag):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"scenarios": ' + "7" * 5000 + "}", encoding="utf-8")
+    args = _score_all_args(fixtures_dir)
+    args[args.index(flag) + 1] = str(huge)
+    assert cli.main(args) == 2
+    assert _stderr_line(capsys).startswith(
+        f"error: {huge} holds a number that cannot be parsed: "
+    )
+
+
 def _internal_only_ground_truth(tmp_path, fixtures_dir) -> Path:
     doc = json.loads((fixtures_dir / "captions_gt.json").read_text())
     for scenario in doc["scenarios"]:
@@ -558,3 +570,36 @@ def test_ground_truth_without_scenarios_exits_2(tmp_path, fixtures_dir, capsys):
     argv[argv.index("--gt-captions") + 1] = str(gt_path)
     assert cli.main(argv) == 2
     assert _stderr_line(capsys) == "error: ground truth has no scenarios to score\n"
+
+
+@pytest.mark.parametrize("value", ["1e-200", "1e200"])
+def test_length_penalty_sigma_whose_square_is_not_finite_and_positive_exits_2(
+    fixtures_dir, capsys, value
+):
+    # 1e-200 squares to 0 and divided by it; 1e200 overflowed when squared
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(_score_all_args(fixtures_dir, "--cider-length-penalty-sigma", value))
+    assert exit_info.value.code == 2
+    assert _stderr_line(capsys) == (
+        "capvqa score-all: error: argument --cider-length-penalty-sigma: "
+        f"must be a number whose square is finite and > 0, got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize("value", ["1e308", "5e307"])
+@pytest.mark.parametrize("format", sorted(_GOLDEN_EXTENSIONS))
+def test_cider_scale_too_large_for_finite_means_exits_2(fixtures_dir, capsys, value, format):
+    # 1e308 printed inf (and Infinity in json); 5e307 overflowed a split mean
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(_score_all_args(fixtures_dir, "--format", format, "--cider-scale", value))
+    assert exit_info.value.code == 2
+    assert _stderr_line(capsys) == (
+        "capvqa score-all: error: argument --cider-scale: must be at most 1e+300, "
+        f"so split means and Cap_Score stay finite, got {value!r}\n"
+    )
+
+
+def test_cider_scale_at_its_bound_gives_a_finite_report(fixtures_dir, capsys):
+    assert cli.main(_score_all_args(fixtures_dir, "--format", "json", "--cider-scale", "1e300")) == 0
+    document = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert math.isfinite(document["percent"]["s2"])

@@ -1,6 +1,6 @@
 import math
 import random
-import sys
+import time
 from collections import Counter
 
 import pytest
@@ -8,15 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from capvqa.meteor import (
-    DEFAULT_MAX_SEARCH,
-    MeteorParams,
-    _align_exhaustive,
-    _align_greedy,
-    _matching_count,
-    align,
-    meteor,
-)
+from capvqa.meteor import MeteorParams, _align_greedy, align, meteor
 
 # Hand-applied formula values, confirmed by oracles.meteor_reference:
 # identity of length 3 -> 1 - 0.5*(1/3)**3 = 53/54; fully scrambled -> 0.5;
@@ -137,15 +129,15 @@ def _repetitive_caption(rng, repeated):
     ]
 
 
-def test_align_matches_exhaustive_enumeration_on_repetitive_pairs():
-    # a few words repeated among distinct filler, up to the 10,000-matching
-    # gate below which align must return the exhaustive optimum
+def _check_repetitive_pairs(low, high, pairs):
+    # a few words repeated among distinct filler, with between low and high
+    # max matchings, which brute force can still enumerate
     rng = random.Random(321)
     checked = 0
-    while checked < 30:
+    while checked < pairs:
         repeated = rng.sample("abcdef", 3)
         cand, ref = _repetitive_caption(rng, repeated), _repetitive_caption(rng, repeated)
-        if not 500 <= _max_matchings(cand, ref) <= DEFAULT_MAX_SEARCH:
+        if not low <= _max_matchings(cand, ref) <= high:
             continue
         checked += 1
         result = align(cand, ref)
@@ -154,14 +146,28 @@ def test_align_matches_exhaustive_enumeration_on_repetitive_pairs():
         )
 
 
+def test_align_matches_exhaustive_enumeration_on_repetitive_pairs():
+    _check_repetitive_pairs(500, 10_000, 30)
+
+
+def test_align_matches_exhaustive_enumeration_above_10000_matchings():
+    # the count at which align used to fall back to the greedy pass alone
+    _check_repetitive_pairs(10_001, 40_000, 8)
+
+
+def _greedy(cand, ref):
+    positions = {tok: [j for j, t in enumerate(ref) if t == tok] for tok in set(ref)}
+    return _align_greedy(cand, ref, positions)
+
+
 def test_greedy_fallback_keeps_max_cardinality():
-    # force the greedy path and check it still matches every matchable token
+    # the greedy pass alone still matches every matchable token
     cand = "a a a b a a a a".split()
     ref = "a a a c a a a a".split()
     exact = align(cand, ref)
-    greedy = align(cand, ref, max_search=1)
-    assert greedy.matches == exact.matches == 7
-    assert greedy.chunks >= exact.chunks
+    matches, chunks = _greedy(cand, ref)
+    assert matches == exact.matches == 7
+    assert chunks >= exact.chunks
 
 
 def test_param_validation():
@@ -195,26 +201,11 @@ def _unique_matching_pair(draw):
 @given(_unique_matching_pair())
 def test_unique_matching_pairs_match_brute_force(pair):
     cand, ref = pair
-    assert _matching_count(cand, ref, DEFAULT_MAX_SEARCH) == 1
+    assert _max_matchings(cand, ref) == 1
     result = align(cand, ref)
     expected = oracles.best_alignment_brute_force(cand, ref)
     assert (result.matches, result.chunks) == expected
-    assert _align_greedy(cand, ref) == _align_exhaustive(cand, ref) == expected
-
-
-def test_only_several_max_matchings_take_the_exhaustive_search(monkeypatch):
-    searched = []
-
-    def recording_search(cand, ref):
-        searched.append((cand, ref))
-        return _align_exhaustive(cand, ref)
-
-    # the package exports a function named `meteor`, so take the module itself
-    monkeypatch.setattr(sys.modules[align.__module__], "_align_exhaustive", recording_search)
-    assert (align(["b", "a", "c"], ["a", "b", "c"]).chunks, searched) == (3, [])
-    # two max matchings: each "a" of the candidate may take either "a"
-    assert align(["a", "b", "a"], ["a", "a", "b"]).chunks == 2
-    assert searched == [(["a", "b", "a"], ["a", "a", "b"])]
+    assert _greedy(cand, ref) == expected
 
 
 @settings(max_examples=500, deadline=None)
@@ -223,7 +214,7 @@ def test_only_several_max_matchings_take_the_exhaustive_search(monkeypatch):
     st.lists(st.sampled_from("abcdef."), max_size=40),
 )
 def test_greedy_pass_matches_its_reference(cand, ref):
-    assert _align_greedy(cand, ref) == oracles.greedy_alignment_reference(cand, ref)
+    assert _greedy(cand, ref) == oracles.greedy_alignment_reference(cand, ref)
 
 
 @pytest.mark.parametrize(
@@ -238,6 +229,50 @@ def test_greedy_pass_matches_its_reference(cand, ref):
     ],
 )
 def test_unique_matching_edge_cases(cand, ref):
-    assert _matching_count(cand, ref, DEFAULT_MAX_SEARCH) == 1
+    assert _max_matchings(cand, ref) == 1
     result = align(cand, ref)
     assert (result.matches, result.chunks) == oracles.best_alignment_brute_force(cand, ref)
+
+
+def _letters(max_letters):
+    return st.integers(1, max_letters).map(lambda n: "abcdefgh"[:n])
+
+
+@st.composite
+def _pair_over_few_letters(draw, max_len, max_letters):
+    alphabet = draw(_letters(max_letters))
+    return (
+        draw(st.lists(st.sampled_from(alphabet), max_size=max_len)),
+        draw(st.lists(st.sampled_from(alphabet), max_size=max_len)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_over_few_letters(80, 8))
+def test_align_keeps_greedy_matches_and_never_more_chunks(pair):
+    cand, ref = pair
+    result = align(cand, ref)
+    matches, chunks = oracles.greedy_alignment_reference(cand, ref)
+    assert result.matches == matches
+    assert result.chunks <= chunks
+
+
+@settings(max_examples=500, deadline=None)
+@given(_pair_over_few_letters(8, 8))
+def test_align_equals_brute_force_on_short_pairs(pair):
+    cand, ref = pair
+    result = align(cand, ref)
+    assert (result.matches, result.chunks) == oracles.best_alignment_brute_force(cand, ref)
+
+
+def test_pathological_pair_stops_at_the_search_budget():
+    # 80 tokens over 4 words: far too many max matchings to search them all
+    rng = random.Random(80)
+    cand = [rng.choice("abcd") for _ in range(80)]
+    ref = [rng.choice("abcd") for _ in range(80)]
+    start = time.perf_counter()
+    result = align(cand, ref)
+    assert time.perf_counter() - start < 1.0
+    matches, chunks = oracles.greedy_alignment_reference(cand, ref)
+    assert result.matches == matches
+    assert 1 <= result.chunks <= chunks

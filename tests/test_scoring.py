@@ -59,10 +59,12 @@ def test_segments_equal_direct_metric_calls(fixtures_dir, config):
         ("cider_scale", float("inf")),
         ("cider_scale", -1.0),
         ("cider_scale", 0.0),
+        ("cider_scale", 5e307),
         ("cider_length_penalty_sigma", float("nan")),
         ("cider_length_penalty_sigma", float("-inf")),
         ("cider_length_penalty_sigma", 0.0),
         ("cider_length_penalty_sigma", -3.0),
+        ("cider_length_penalty_sigma", 1e-200),
     ],
 )
 def test_config_rejects_non_finite_or_non_positive_cider_values(field, value):
