@@ -6,12 +6,13 @@ Subcommands:
     capvqa score-vqa      --gt-vqa GOLD --pred-vqa PRED
     capvqa score-all      --gt-captions GT --pred-captions PRED
                           --gt-vqa GOLD --pred-vqa PRED
-    capvqa validate       --gt-captions GT --pred-captions PRED
+    capvqa validate       --gt-captions GT --pred-captions PRED [--gt-vqa GOLD]
 
 Exit codes: 0 success, 1 validation failure (strict mode or the validate
-subcommand), 2 I/O, schema or argument errors. Scoring flags default to
-the benchmark's standard conventions, and equal inputs produce
-byte-identical output.
+subcommand; `score-all --strict` and `validate --gt-vqa` also check that
+every VQA question names a segment of the caption ground truth), 2 I/O,
+schema or argument errors. Scoring flags default to the benchmark's
+standard conventions, and equal inputs produce byte-identical output.
 """
 
 import argparse
@@ -172,18 +173,23 @@ def cmd_score_captions(args) -> int:
     return 0
 
 
+def _check_vqa_segments(gt: dataset_io.ScenarioSet, items: list[vqa.VqaItem]) -> None:
+    """Fail on the first question whose segment is not a scenario/phase of `gt`."""
+    known = {f"{scenario_id}/{phase}" for scenario_id, phase in gt.segment_keys()}
+    for idx, item in enumerate(items):
+        if item.segment_id not in known:
+            raise ValidationFailure(
+                f"question {item.id!r} (at questions[{idx}]) names segment "
+                f"{item.segment_id!r}, which is not a scenario/phase of the "
+                "caption ground truth"
+            )
+
+
 def _score_vqa_files(args, gt: dataset_io.ScenarioSet | None = None) -> vqa.AccuracyResult:
     """VQA accuracy; under `--strict`, every question's segment must be in `gt` if given."""
     items = dataset_io.load_vqa_items(args.gt_vqa)
     if args.strict and gt is not None:
-        known = {f"{scenario_id}/{phase}" for scenario_id, phase in gt.segment_keys()}
-        for idx, item in enumerate(items):
-            if item.segment_id not in known:
-                raise ValidationFailure(
-                    f"question {item.id!r} (at questions[{idx}]) names segment "
-                    f"{item.segment_id!r}, which is not a scenario/phase of the "
-                    "caption ground truth"
-                )
+        _check_vqa_segments(gt, items)
     predictions = dataset_io.load_vqa_predictions(args.pred_vqa)
     policy = "strict" if args.strict else "missing-is-wrong"
     return vqa.accuracy(items, predictions, missing_policy=policy)
@@ -218,8 +224,11 @@ def cmd_score_all(args) -> int:
 def cmd_validate(args) -> int:
     gt = dataset_io.load_ground_truth(args.gt_captions)
     pred = dataset_io.load_predictions(args.pred_captions)
+    items = dataset_io.load_vqa_items(args.gt_vqa) if args.gt_vqa else None
     validation = dataset_io.validate(gt, pred)
     sys.stdout.write(validation.summary() + "\n")
+    if items is not None:
+        _check_vqa_segments(gt, items)
     return 0 if validation.is_empty() else 1
 
 
@@ -264,6 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="diff a submission against ground truth")
     p.add_argument("--gt-captions", required=True)
     p.add_argument("--pred-captions", required=True)
+    p.add_argument(
+        "--gt-vqa", default=None,
+        help="VQA gold JSON; every question's segment must be a scenario/phase of --gt-captions",
+    )
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -24,13 +24,17 @@ import gc
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, NoReturn
+from typing import Any
 
 from .errors import SchemaError
 from .vqa import VqaItem, VqaPrediction
 
 PHASES = ("prerecognition", "recognition", "judgment", "action", "avoidance")
 SPLITS = ("internal", "external")
+# The record classes for type checks, bound once: `VqaItem` names the
+# constructor the loader calls, which a caller may wrap.
+_VqaItem, _VqaPrediction = VqaItem, VqaPrediction
+_RECORD_TYPES = (VqaItem, VqaPrediction)
 
 
 @dataclass
@@ -88,7 +92,7 @@ class ValidationReport:
         )
 
 
-def _load_json(path) -> Any:
+def _load_json(path, object_hook=None) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -98,7 +102,7 @@ def _load_json(path) -> Any:
             f"{path} is not valid UTF-8: {exc.reason}", locator=f"byte {exc.start}"
         ) from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path} is not valid JSON: {exc.msg}",
@@ -112,8 +116,10 @@ def _load_json(path) -> Any:
 
 def _expect(value, expected_type, locator: str):
     if not isinstance(value, expected_type):
+        # a record built during the parse was a dict in the file
+        got = "dict" if isinstance(value, _RECORD_TYPES) else type(value).__name__
         raise SchemaError(
-            f"expected {expected_type.__name__}, got {type(value).__name__}",
+            f"expected {expected_type.__name__}, got {got}",
             locator=locator,
         )
     return value
@@ -229,77 +235,108 @@ def _gc_paused():
             gc.enable()
 
 
+def _vqa_document(path, build, records: str):
+    """Parse `path`, building each record as the parser closes it.
+
+    `build` gets every object at every depth, and returns a record or the
+    dict unchanged when it is not a well-formed record. A dict holding a
+    `records` key stays a dict, so a well-formed root keeps its list. A
+    root built into a record is a root without that list.
+    """
+    root = _load_json(path, build)
+    if isinstance(root, _RECORD_TYPES):
+        raise SchemaError(f"missing field {records!r}", locator=str(path))
+    return _field(_expect(root, dict, str(path)), records, list, str(path))
+
+
 @_gc_paused()
 def load_vqa_items(path) -> list[VqaItem]:
     """Load the VQA gold file.
 
-    Each record is dropped from the parsed document once its item is
-    built, and equal segment and question strings share one object, so
-    the document's copies are freed as the load goes.
+    Each question becomes its item the moment the parser closes its
+    record, so the record's dict is freed at once and no whole document
+    is ever held. Equal segment and question strings share one object.
     """
-    root = _expect(_load_json(path), dict, str(path))
-    questions = _field(root, "questions", list, str(path))
-    items = []
-    seen_ids = set()
     memo: dict[str, str] = {}
-    for idx, record in enumerate(questions):
-        if not (
-            isinstance(record, dict)
-            and isinstance(item_id := record.get("id"), str)
-            and item_id not in seen_ids
+
+    def build(record: dict):
+        if (
+            isinstance(item_id := record.get("id"), str)
             and isinstance(options := record.get("options"), list)
             and all([isinstance(option, str) for option in options])
             and isinstance(segment_id := record.get("segment"), str)
             and isinstance(question := record.get("question"), str)
             and isinstance(gold := record.get("correct"), int)
             and not isinstance(gold, bool)
+            and "questions" not in record
         ):
-            _raise_question_error(record, f"questions[{idx}]", seen_ids)
-        seen_ids.add(item_id)
-        try:
-            items.append(VqaItem(
-                item_id, memo.setdefault(segment_id, segment_id),
-                memo.setdefault(question, question), options, gold,
-            ))
-        except SchemaError as exc:
-            # VqaItem does not know where its record sits in the file
-            raise SchemaError(str(exc), locator=f"questions[{idx}]") from exc
-        questions[idx] = None
-    return items
+            try:
+                return VqaItem(
+                    item_id, memo.setdefault(segment_id, segment_id),
+                    memo.setdefault(question, question), options, gold,
+                )
+            except SchemaError:
+                pass  # raised again, with its locator, by `_item_from_record`
+        return record
+
+    questions = _vqa_document(path, build, "questions")
+    seen_ids = set()
+    for idx, item in enumerate(questions):
+        if not isinstance(item, _VqaItem):
+            item = questions[idx] = _item_from_record(item, f"questions[{idx}]", seen_ids)
+        elif item.id in seen_ids:
+            raise SchemaError(f"duplicate question id {item.id!r}", locator=f"questions[{idx}]")
+        seen_ids.add(item.id)
+    return questions
 
 
-def _raise_question_error(record, locator: str, seen_ids: set[str]) -> NoReturn:
-    """Raise the error for a question that failed `load_vqa_items`' checks.
+def _item_from_record(record, locator: str, seen_ids: set[str]) -> VqaItem:
+    """The item of a question that the parse left a dict, or its error.
 
-    The checks run one at a time here, in the order that picks which
-    error a record with several faults reports.
+    The checks run one at a time, in the order that picks which error a
+    record with several faults reports.
     """
     record = _expect(record, dict, locator)
     item_id = _field(record, "id", str, locator)
     if item_id in seen_ids:
         raise SchemaError(f"duplicate question id {item_id!r}", locator=locator)
-    for o_idx, option in enumerate(_field(record, "options", list, locator)):
+    options = _field(record, "options", list, locator)
+    for o_idx, option in enumerate(options):
         _expect(option, str, f"{locator}.options[{o_idx}]")
-    _field(record, "segment", str, locator)
-    _field(record, "question", str, locator)
-    if isinstance(_field(record, "correct", int, locator), bool):
+    segment_id = _field(record, "segment", str, locator)
+    question = _field(record, "question", str, locator)
+    gold = _field(record, "correct", int, locator)
+    if isinstance(gold, bool):
         raise SchemaError("expected int, got bool", locator=f"{locator}.correct")
-    raise AssertionError(f"no check failed for {locator}")
+    try:
+        return VqaItem(item_id, segment_id, question, options, gold)
+    except SchemaError as exc:
+        # VqaItem does not know where its record sits in the file
+        raise SchemaError(str(exc), locator=locator) from exc
 
 
 @_gc_paused()
 def load_vqa_predictions(path) -> list[VqaPrediction]:
-    """Load the VQA submission file; id collisions are caught at scoring time."""
-    root = _expect(_load_json(path), dict, str(path))
-    predictions = []
-    for idx, record in enumerate(_field(root, "answers", list, str(path))):
-        if not (
-            isinstance(record, dict)
-            and isinstance(prediction_id := record.get("id"), str)
+    """Load the VQA submission file; id collisions are caught at scoring time.
+
+    Like the gold load, each answer is built as the parser closes it.
+    """
+
+    def build(record: dict):
+        if (
+            isinstance(prediction_id := record.get("id"), str)
             and isinstance(raw := record.get("raw"), str)
+            and "answers" not in record
         ):
+            return VqaPrediction(prediction_id, raw)
+        return record
+
+    predictions = _vqa_document(path, build, "answers")
+    for idx, prediction in enumerate(predictions):
+        if not isinstance(prediction, _VqaPrediction):
             locator = f"answers[{idx}]"
-            _field(_expect(record, dict, locator), "id", str, locator)
-            _field(record, "raw", str, locator)
-        predictions.append(VqaPrediction(prediction_id, raw))
+            record = _expect(prediction, dict, locator)
+            predictions[idx] = VqaPrediction(
+                _field(record, "id", str, locator), _field(record, "raw", str, locator)
+            )
     return predictions

@@ -37,6 +37,7 @@ recursion limit.
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 # Search nodes (steps of the exact search) one pair may spend; no pair of the
@@ -111,19 +112,33 @@ def _align_exhaustive(
     candidate: Sequence[str], reference: Sequence[str], ref_positions: dict, best: int
 ) -> int:
     """Fewest chunks of a max matching, or `best` if none has fewer within the budget."""
+    counts = Counter(candidate)
+    ref_bigrams = set(zip(reference, reference[1:]))
+    # The root's bound, starts[0] below, in one pass before any search state
+    # is built: when greedy's chunks already meet it, no matching has fewer.
+    # A max matching pairs min(c, r) of a word's c candidate and r reference
+    # occurrences, so when c <= r every candidate occurrence is matched.
+    forced = sum([
+        tok in ref_positions
+        and counts[tok] <= len(ref_positions[tok])
+        and (previous, tok) not in ref_bigrams
+        for previous, tok in zip(chain((None,), candidate), candidate)
+    ])
+    if forced >= best:
+        return best
+
     # Candidate positions whose word the reference has; every other
     # position is left unmatched in every matching.
     positions = [i for i, tok in enumerate(candidate) if tok in ref_positions]
-    # A max matching pairs min(c, r) occurrences of each word, so exactly
-    # c - min(c, r) of its c candidate occurrences stay unmatched.
+    # Exactly c - min(c, r) of a word's c candidate occurrences stay unmatched.
     slack = {
         tok: count - min(count, len(ref_positions[tok]))
-        for tok, count in Counter(candidate[i] for i in positions).items()
+        for tok, count in counts.items()
+        if tok in ref_positions
     }
     last = len(positions) - 1
     # follows[k]: positions[k + 1] is the candidate position right after positions[k]
     follows = [positions[k + 1] == positions[k] + 1 for k in range(last)] + [False]
-    ref_bigrams = set(zip(reference, reference[1:]))
     # starts[k]: chunks that positions[k:] open in every matching -- those
     # of words with no slack whose bigram with the previous candidate word
     # is absent from the reference, so they can never extend a chunk

@@ -15,9 +15,10 @@ fraction so correct == acc * total holds without rounding games.
 """
 
 import re
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .errors import SchemaError, ValidationFailure
 from .text_norm import PUNCTUATION
@@ -29,6 +30,11 @@ MISSING_POLICIES = ("missing-is-wrong", "strict")
 _MISSING_SHOWN = 5
 
 _CHOICE_LETTER = re.compile(r"\s*([A-Za-z])\s*(?:[.):]|$)")
+_LETTER_INDEX = {
+    letter: index
+    for letters in (string.ascii_uppercase, string.ascii_lowercase)
+    for index, letter in enumerate(letters)
+}
 _PUNCTUATION_BYTES = PUNCTUATION.encode()
 _SEPARATOR = "\x00"
 
@@ -77,7 +83,10 @@ class VqaItem:
     question: str
     options: list[str]
     gold: int
-    _normalized_options: tuple[str, ...] = field(init=False, repr=False)
+    # The normalized options joined by "\n": one object, not a tuple of n
+    # strings. Normalized text holds no whitespace but single spaces, so
+    # splitting it on "\n" gives back exactly the n options.
+    _normalized_options: str = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.options) < 2:
@@ -89,11 +98,12 @@ class VqaItem:
                 f"question {self.id!r} gold index {self.gold} is outside "
                 f"[0, {len(self.options)})"
             )
-        self._normalized_options = _normalize_many(self.options)
-        if len(set(self._normalized_options)) != len(self.options):
+        normalized = _normalize_many(self.options)
+        if len(set(normalized)) != len(normalized):
             raise SchemaError(
                 f"question {self.id!r} has options that collide after normalization"
             )
+        self._normalized_options = "\n".join(normalized)
 
 
 @dataclass(slots=True)
@@ -120,33 +130,46 @@ def normalize_answer(raw: str, options: Sequence[str]) -> int | None:
     """
     if not options:
         raise ValueError("normalize_answer requires a non-empty option list")
-    return _resolve(raw, _normalize_many(options))
+    return _resolve(raw, len(options), "\n".join(_normalize_many(options)))
 
 
-def _resolve(raw: str, normalized_options: Sequence[str]) -> int | None:
-    """`normalize_answer` against options already passed through `_normalize_many`."""
+def _resolve(raw: str, count: int, normalized_options: str) -> int | None:
+    """`normalize_answer` against `count` options in the form `VqaItem` keeps.
+
+    The options are split out of their joined form only when the choice
+    letter rule does not decide.
+    """
     match = _CHOICE_LETTER.match(raw)
-    if match:
-        index = ord(match.group(1).upper()) - ord("A")
-        if index < len(normalized_options):
-            return index
+    if match and (index := _LETTER_INDEX[match[1]]) < count:
+        return index
 
+    options = normalized_options.split("\n")
     answer = _normalize_tokens(raw)
-    if answer in normalized_options:
-        return normalized_options.index(answer)
+    if answer in options:
+        return options.index(answer)
 
     # an empty option pads to two spaces, which only an empty answer holds,
     # and that answer matched the empty option exactly above
     padded = f" {answer} "
     contained = [
         index
-        for index, option in enumerate(normalized_options)
+        for index, option in enumerate(options)
         # a padded match implies a bare one, which is cheaper to rule out
         if option in answer and f" {option} " in padded
     ]
     if len(contained) == 1:
         return contained[0]
     return NO_ANSWER
+
+
+def _raise_first_duplicate(kind: str, ids: list[str]) -> NoReturn:
+    """Raise for the first id in `ids` that repeats an earlier one."""
+    seen = set()
+    for item_id in ids:
+        if item_id in seen:
+            raise SchemaError(f"duplicate {kind} id {item_id!r}")
+        seen.add(item_id)
+    raise AssertionError(f"no duplicate {kind} id")
 
 
 def accuracy(
@@ -166,17 +189,11 @@ def accuracy(
         )
     if not items:
         raise ValueError("accuracy requires at least one item")
-    seen_items = set()
-    for item in items:
-        if item.id in seen_items:
-            raise SchemaError(f"duplicate question id {item.id!r}")
-        seen_items.add(item.id)
-
-    by_id: dict[str, str] = {}
-    for prediction in predictions:
-        if prediction.id in by_id:
-            raise SchemaError(f"duplicate prediction id {prediction.id!r}")
-        by_id[prediction.id] = prediction.raw
+    if len({item.id for item in items}) != len(items):
+        _raise_first_duplicate("question", [item.id for item in items])
+    by_id = {prediction.id: prediction.raw for prediction in predictions}
+    if len(by_id) != len(predictions):
+        _raise_first_duplicate("prediction", [prediction.id for prediction in predictions])
 
     if missing_policy == "strict":
         missing = sorted(item.id for item in items if item.id not in by_id)
@@ -191,7 +208,7 @@ def accuracy(
         raw = by_id.get(item.id)
         if raw is None:
             continue
-        if _resolve(raw, item._normalized_options) == item.gold:
+        if _resolve(raw, len(item.options), item._normalized_options) == item.gold:
             correct += 1
     total = len(items)
     return AccuracyResult(total=total, correct=correct, acc=Fraction(correct, total))

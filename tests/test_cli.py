@@ -344,6 +344,36 @@ def test_validate_subcommand(tmp_path, fixtures_dir, capsys):
     assert "missing: scenario_002" in capsys.readouterr().out
 
 
+def test_validate_checks_vqa_segments(tmp_path, fixtures_dir, capsys):
+    argv = ["validate", *_fixture_args(fixtures_dir), "--gt-vqa"]
+    assert cli.main([*argv, str(fixtures_dir / "vqa_gold.json")]) == 0
+    assert capsys.readouterr() == ("submission is complete and well-formed\n", "")
+    doc = json.loads((fixtures_dir / "vqa_gold.json").read_text())
+    doc["questions"][2]["segment"] = "scenario_001/nope"
+    doc["questions"][4]["segment"] = "nope/action"
+    gold_path = tmp_path / "gold.json"
+    gold_path.write_text(json.dumps(doc), encoding="utf-8")
+    failure = (
+        "validation failed: question 'q3' (at questions[2]) names segment "
+        "'scenario_001/nope', which is not a scenario/phase of the caption ground truth\n"
+    )
+    assert cli.main([*argv, str(gold_path)]) == 1
+    # the caption diff still prints, and the failure is score-all --strict's
+    assert capsys.readouterr() == ("submission is complete and well-formed\n", failure)
+    strict = _score_all_args(fixtures_dir, "--strict")
+    strict[strict.index("--gt-vqa") + 1] = str(gold_path)
+    assert cli.main(strict) == 1
+    assert capsys.readouterr() == ("", failure)
+
+
+def test_validate_with_a_bad_vqa_file_exits_2_before_printing(tmp_path, fixtures_dir, capsys):
+    gold_path = tmp_path / "gold.json"
+    gold_path.write_text('{"questions": [3]}', encoding="utf-8")
+    argv = ["validate", *_fixture_args(fixtures_dir), "--gt-vqa", str(gold_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: expected dict, got int (at questions[0])\n")
+
+
 def test_schema_error_exits_2(tmp_path, fixtures_dir, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"scenarios": [{"id": "s1"}]}', encoding="utf-8")

@@ -1,5 +1,7 @@
 import gc
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -323,3 +325,108 @@ def test_gc_stays_disabled_when_the_caller_disabled_it(fixtures_dir):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+# A record-shaped dict where a loader expects something else reports the
+# enclosing field's error, as any other dict there would.
+@pytest.mark.parametrize("doc, message", [
+    (_question(), "missing field 'questions' (at {path})"),
+    ({"questions": _question()}, "expected list, got dict (at {path}.questions)"),
+    (
+        {"questions": [_question(options=["a", _question(id="q2")])]},
+        "expected str, got dict (at questions[0].options[1])",
+    ),
+    (
+        {"questions": [_question(id=_question(id="q2"))]},
+        "expected str, got dict (at questions[0].id)",
+    ),
+])
+def test_vqa_question_shaped_dicts_out_of_place(tmp_path, doc, message):
+    path = _write(tmp_path, "vqa.json", doc)
+    with pytest.raises(SchemaError) as error:
+        load_vqa_items(path)
+    assert str(error.value) == message.format(path=path)
+
+
+def test_vqa_question_records_carrying_a_questions_key_load(tmp_path):
+    nested = _question(id="q2", questions=[_question(id="q3")])
+    root = {**_question(id="q0"), "questions": [_question(), nested]}
+    items = load_vqa_items(_write(tmp_path, "vqa.json", root))
+    assert [item.id for item in items] == ["q1", "q2"]
+    assert items[1] == dataset_io.VqaItem("q2", "s1/action", "What?", ["a", "b"], 0)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"id": "q1", "raw": "A"}, "missing field 'answers' (at {path})"),
+    ({"answers": {"id": "q1", "raw": "A"}}, "expected list, got dict (at {path}.answers)"),
+    (
+        {"answers": [{"id": "q1", "raw": {"id": "q2", "raw": "A"}}]},
+        "expected str, got dict (at answers[0].raw)",
+    ),
+    (
+        {"answers": [{"id": {"id": "q2", "raw": "A"}, "raw": "A"}]},
+        "expected str, got dict (at answers[0].id)",
+    ),
+])
+def test_vqa_answer_shaped_dicts_out_of_place(tmp_path, doc, message):
+    path = _write(tmp_path, "answers.json", doc)
+    with pytest.raises(SchemaError) as error:
+        load_vqa_predictions(path)
+    assert str(error.value) == message.format(path=path)
+
+
+def test_vqa_answer_records_carrying_an_answers_key_load(tmp_path):
+    root = {"id": "q0", "raw": "A", "answers": [{"id": "q1", "raw": "B", "answers": []}]}
+    predictions = load_vqa_predictions(_write(tmp_path, "answers.json", root))
+    assert predictions == [dataset_io.VqaPrediction("q1", "B")]
+
+
+@pytest.fixture(scope="module")
+def bulk_vqa_files(tmp_path_factory):
+    """A gold and an answers file shaped like the benchmark's: 20k questions of 4 options."""
+    tmp_path = tmp_path_factory.mktemp("bulk")
+    rng = random.Random(5)
+    words = [f"w{n}{chr(97 + n % 26)}{'x' * (n % 5)}" for n in range(3_000)]
+    records, answers = [], []
+    for q in range(20_000):
+        options = [" ".join(rng.sample(words, rng.randint(2, 4))) for _ in range(4)]
+        records.append({
+            "id": f"q{q:06d}", "segment": f"scenario_{q % 4:05d}/action",
+            "question": "What does the road user do next?", "options": options,
+            "correct": rng.randrange(4),
+        })
+        raw = rng.choice(["B", f"C. {options[2]}", options[0].upper(), "hard to tell"])
+        answers.append({"id": f"q{q:06d}", "raw": raw})
+    return (
+        _write(tmp_path, "gold.json", {"questions": records}),
+        _write(tmp_path, "answers.json", {"answers": answers}),
+    )
+
+
+def _traced(load):
+    """`load()`'s length, the bytes its result retains and the peak beyond them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = load()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return len(result), current - before, peak - current
+
+
+def test_vqa_gold_items_retain_less_than_the_parsed_document(bulk_vqa_files):
+    gold, _ = bulk_vqa_files
+    count, items_bytes, _ = _traced(lambda: load_vqa_items(gold))
+    assert count == 20_000
+    _, document_bytes, _ = _traced(lambda: json.loads(gold.read_text(encoding="utf-8")))
+    assert items_bytes < document_bytes
+
+
+def test_vqa_answers_load_holds_about_the_file_text_beyond_its_result(bulk_vqa_files):
+    _, answers = bulk_vqa_files
+    count, _, transient = _traced(lambda: load_vqa_predictions(answers))
+    assert count == 20_000
+    # the text, while it parses, and not a whole document of answer dicts
+    assert transient <= 1.25 * answers.stat().st_size

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -143,6 +143,16 @@ def test_normalized_text_has_the_strip_tokenizer_tokens(text):
 def test_batched_normalization_matches_the_per_text_reference(texts):
     expected = tuple(" ".join(oracles._normalize_tokens(text)) for text in texts)
     assert vqa._normalize_many(texts) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_TEXTS, st.text()), min_size=2, max_size=6))
+def test_item_joins_its_normalized_options_exactly(options):
+    normalized = vqa._normalize_many(options)
+    assume(len(set(normalized)) == len(options))
+    item = VqaItem("q1", "s/action", "?", options, 0)
+    # normalized text holds no "\n", even where an option did
+    assert item._normalized_options.split("\n") == list(normalized)
 
 
 def test_batched_normalization_edge_cases():
