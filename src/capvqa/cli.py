@@ -113,7 +113,8 @@ def _add_caption_flags(parser: argparse.ArgumentParser):
         "--workers",
         type=int,
         default=1,
-        help="accepted for compatibility and otherwise ignored: scoring runs in one thread",
+        help="accepted for compatibility and otherwise ignored: scoring uses every CPU "
+        "the process may run on (limit them with taskset)",
     )
 
 

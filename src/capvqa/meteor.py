@@ -85,6 +85,9 @@ def _align_greedy(
     candidate: Sequence[str], reference: Sequence[str], ref_positions: dict
 ) -> tuple[int, int]:
     used = [False] * len(reference)
+    # per word, the index in its positions of the first occurrence that may
+    # be free; greedy never frees one, so the cursors only move forward
+    first_free = dict.fromkeys(ref_positions, 0)
     matches = chunks = 0
     ext_i = ext_j = -1  # the pair that would extend the current chunk
     for i, tok in enumerate(candidate):
@@ -96,11 +99,13 @@ def _align_greedy(
         else:
             # the first free occurrence; it cannot extend the chunk, or the
             # test above would have taken it
-            for j in positions:
-                if not used[j]:
-                    break
-            else:
+            k = first_free[tok]
+            while k < len(positions) and used[positions[k]]:
+                k += 1
+            first_free[tok] = k
+            if k == len(positions):
                 continue
+            j = positions[k]
             chunks += 1
         used[j] = True
         matches += 1

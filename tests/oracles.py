@@ -177,11 +177,12 @@ def best_alignment_brute_force(candidate_tokens, reference_tokens):
 
 
 def greedy_alignment_reference(candidate_tokens, reference_tokens):
-    """(matches, chunks) of the left-to-right greedy pass METEOR falls back to.
+    """(matches, chunks) of METEOR's left-to-right greedy pass.
 
     Each candidate token takes the reference position that extends the
     current chunk if that one is free and holds the token, else its first
-    free occurrence.
+    free occurrence, found by rescanning the word's occurrences from the
+    start: O(n^2 / |V|), where `meteor._align_greedy` keeps a cursor per word.
     """
     ref_positions = {}
     for j, tok in enumerate(reference_tokens):

@@ -529,10 +529,11 @@ def test_strict_score_all_checks_vqa_segments(tmp_path, fixtures_dir, capsys):
 
 def test_cli_import_leaves_numpy_unloaded():
     # the adapter names are resolved on first access, so scoring never pays
-    # for numpy's import; they must still import from the package
+    # for numpy's import; they must still import from the package. Forked
+    # scoring sends raw floats, so no pickling or process pool is imported.
     code = (
         "import sys, capvqa.cli\n"
-        "for name in ('numpy', 'concurrent.futures'):\n"
+        "for name in ('numpy', 'pickle', 'multiprocessing', 'concurrent.futures'):\n"
         "    assert name not in sys.modules, name + ' imported'\n"
         "from capvqa import lora_merge\n"
         "assert 'numpy' in sys.modules and callable(lora_merge)\n"

@@ -276,3 +276,23 @@ def test_pathological_pair_stops_at_the_search_budget():
     matches, chunks = oracles.greedy_alignment_reference(cand, ref)
     assert result.matches == matches
     assert 1 <= result.chunks <= chunks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_over_few_letters(300, 3))
+def test_greedy_cursors_match_the_rescanning_reference(pair):
+    # long pairs over few words: each cursor skips many taken occurrences
+    cand, ref = pair
+    assert _greedy(cand, ref) == oracles.greedy_alignment_reference(cand, ref)
+
+
+def test_greedy_pass_is_linear_on_a_long_pair_over_three_words():
+    # the rescanning pass, oracles.greedy_alignment_reference, takes over a
+    # second on this pair: O(n^2 / |V|)
+    rng = random.Random(20_000)
+    cand = [rng.choice("abc") for _ in range(20_000)]
+    ref = [rng.choice("abc") for _ in range(20_000)]
+    start = time.perf_counter()
+    matches, _ = _greedy(cand, ref)
+    assert time.perf_counter() - start < 0.25
+    assert matches == sum(min(cand.count(w), ref.count(w)) for w in "abc")

@@ -1,7 +1,18 @@
+import os
+import random
+import threading
+
 import pytest
 
-from capvqa import bleu4, cider, compute_idf, meteor, rouge_l, tokenize
-from capvqa.dataset_io import ScenarioSet, load_ground_truth, load_predictions
+from capvqa import bleu4, cider, compute_idf, meteor, rouge_l, scoring, tokenize
+from capvqa.dataset_io import (
+    PHASES,
+    Scenario,
+    ScenarioSet,
+    Segment,
+    load_ground_truth,
+    load_predictions,
+)
 from capvqa.scoring import ScoringConfig, score_captions
 
 
@@ -82,3 +93,123 @@ def test_ground_truth_without_scenarios_is_rejected(fixtures_dir):
     pred = load_predictions(fixtures_dir / "captions_pred.json")
     with pytest.raises(ValueError, match="no scenarios"):
         score_captions(ScenarioSet(scenarios=[]), pred)
+
+
+def _generated_corpus(scenarios=30, seed=11):
+    # 30 scenarios: 300 units over both splits, some predictions missing,
+    # captions of 0-30 tokens over a small vocabulary so words repeat
+    rng = random.Random(seed)
+    words = "the a pedestrian vehicle driver car crossed stopped near road lane slowly . ,".split()
+
+    def caption():
+        return " ".join(rng.choice(words) for _ in range(rng.randint(0, 30)))
+
+    gt, pred = [], []
+    for k in range(scenarios):
+        split = "external" if k % 3 == 0 else "internal"
+        gt.append(Scenario(f"s{k:03d}", [Segment(p, caption(), caption()) for p in PHASES], split))
+        predicted = [Segment(p, caption(), caption()) for p in PHASES if rng.random() < 0.9]
+        pred.append(Scenario(f"s{k:03d}", predicted))
+    return ScenarioSet(gt), ScenarioSet(pred)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The children `score_captions` forks, counted as it forks them."""
+    forked = []
+    fork = os.fork
+
+    def counted():
+        forked.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_every_cpu_count_gives_equal_scores(monkeypatch, forks):
+    gt, pred = _generated_corpus()
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(scoring, "_cpu_count", lambda: cpus)
+        results.append(score_captions(gt, pred))
+    assert len(forks) == 0 + 1 + 2
+    assert len(results[0].segments) == 300
+    assert results[0] == results[1] == results[2]
+    _assert_no_child_left()
+
+
+def test_small_corpora_and_threaded_callers_stay_serial(monkeypatch, forks, fixtures_dir):
+    monkeypatch.setattr(scoring, "_cpu_count", lambda: 2)
+    gt = load_ground_truth(fixtures_dir / "captions_gt.json")
+    pred = load_predictions(fixtures_dir / "captions_pred.json")
+    assert len(score_captions(gt, pred).segments) < 2 * scoring.MIN_CHUNK_UNITS
+
+    # a fork copies only the forking thread, so a threaded caller scores in place
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        score_captions(*_generated_corpus())
+    finally:
+        release.set()
+        waiter.join()
+    assert forks == []
+
+
+def test_a_failing_child_chunk_raises_in_the_caller_and_leaves_no_child(monkeypatch, forks):
+    gt, pred = _generated_corpus()
+    last = max(s.id for s in gt.scenarios if s.split == "external")  # in the last chunk
+    score_unit = scoring._score_unit
+
+    def failing(unit, idf, config):
+        if unit.scenario_id == last:
+            raise ValueError(f"cannot score {last}")
+        return score_unit(unit, idf, config)
+
+    monkeypatch.setattr(scoring, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(scoring, "_score_unit", failing)
+    with pytest.raises(ValueError, match=f"cannot score {last}"):
+        score_captions(gt, pred)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_a_child_that_sends_short_data_is_rescored_by_the_caller(monkeypatch, forks):
+    gt, pred = _generated_corpus()
+    monkeypatch.setattr(scoring, "_cpu_count", lambda: 1)
+    expected = score_captions(gt, pred)
+    caller, score_unit = os.getpid(), scoring._score_unit
+
+    def dying(unit, idf, config):
+        if os.getpid() != caller:
+            os._exit(0)  # a clean exit before any float is written
+        return score_unit(unit, idf, config)
+
+    monkeypatch.setattr(scoring, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(scoring, "_score_unit", dying)
+    assert score_captions(gt, pred) == expected
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_an_interrupted_caller_reaps_its_children(monkeypatch, forks):
+    gt, pred = _generated_corpus()
+    caller, score_unit = os.getpid(), scoring._score_unit
+
+    def interrupted(unit, idf, config):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return score_unit(unit, idf, config)
+
+    monkeypatch.setattr(scoring, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(scoring, "_score_unit", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        score_captions(gt, pred)
+    assert len(forks) == 2
+    _assert_no_child_left()
