@@ -5,7 +5,8 @@ predicted caption is the candidate, the ground-truth caption its single
 reference. The TF-IDF statistics for the consensus metric are built per
 split, over that split's reference captions, before any unit is scored.
 Units are then scored on the CPUs the process may run on (`taskset`
-limits that set): the unit list is cut into one contiguous chunk per
+limits that set), as `vqa.accuracy` resolves its answers: through
+`forking.map_chunks`, the unit list is cut into one contiguous chunk per
 CPU, the caller scores the first and a forked child each other one, and
 the scores are reduced in a fixed sorted order. A unit's score depends
 only on the unit, its split's statistics and the config, and the
@@ -17,12 +18,13 @@ metric); strict completeness checking lives in the CLI via
 `dataset_io.validate`.
 """
 
+import itertools
 import math
-import os
-import threading
+from array import array
 from dataclasses import dataclass, field, replace
-from typing import NoReturn, Sequence
+from typing import Sequence
 
+from . import forking
 from .bleu import bleu4
 from .cider import (
     DEFAULT_SCALE,
@@ -122,18 +124,18 @@ def _collect_units(
     return units
 
 
-def _score_unit(unit: _Unit, idf: CiderCorpusIdf, config: ScoringConfig) -> SegmentScore:
+def _score_unit(
+    unit: _Unit, idf: CiderCorpusIdf, config: ScoringConfig
+) -> tuple[float, float, float, float]:
+    """The unit's scores, in `SegmentScore` field order (`_METRICS`)."""
     # BLEU and CIDEr share one n-gram table per caption, freed with the unit
     candidate, reference = Tokens(unit.candidate), Tokens(unit.reference)
     references = [reference]
-    return SegmentScore(
-        scenario_id=unit.scenario_id,
-        phase=unit.phase,
-        perspective=unit.perspective,
-        bleu4=bleu4(candidate, references, config.bleu_zero_policy).score,
-        meteor=meteor(candidate, references, config.meteor_params).score,
-        rouge_l=rouge_l(candidate, reference, config.rouge_convention).score,
-        cider=cider(
+    return (
+        bleu4(candidate, references, config.bleu_zero_policy).score,
+        meteor(candidate, references, config.meteor_params).score,
+        rouge_l(candidate, reference, config.rouge_convention).score,
+        cider(
             candidate,
             references,
             idf,
@@ -153,84 +155,33 @@ def _mean(values: Sequence[float]) -> float:
 # work of 20-30 short units. A chunk of 64 gains at least twice its cost.
 MIN_CHUNK_UNITS = 64
 
-# Floats a child sends back per unit, in `SegmentScore` field order.
+# Floats scored per unit, in `SegmentScore` field order.
 _METRICS = ("bleu4", "meteor", "rouge_l", "cider")
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on, or 1 where it cannot fork workers."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _score_in_child(work: list, config: ScoringConfig, write_end: int) -> NoReturn:
-    """In a forked child: score `work`, write its floats to the pipe, and exit.
-
-    The exit code is 0 only when every float was written; the caller then
-    scores a failed chunk itself, so its exception surfaces there.
-    """
-    from array import array
-
-    code = 1
-    try:
-        values = array("d")
-        for unit, idf in work:
-            score = _score_unit(unit, idf, config)
-            values.extend([getattr(score, name) for name in _METRICS])
-        with open(write_end, "wb") as pipe:
-            pipe.write(values)
-        code = 0
-    finally:
-        os._exit(code)  # never return into the caller's stack
+def _score_chunk(work: Sequence, config: ScoringConfig) -> array:
+    """The `_METRICS` floats of each (unit, idf) pair in `work`, unit after unit."""
+    values = array("d")
+    for unit, idf in work:
+        values.extend(_score_unit(unit, idf, config))
+    return values
 
 
 def _score_units(work: list, config: ScoringConfig) -> list[SegmentScore]:
     """Score (unit, idf) pairs, in order, one contiguous chunk per CPU."""
-    chunks = min(_cpu_count(), len(work) // MIN_CHUNK_UNITS)
-    # a fork copies only the forking thread, whatever locks the others hold
-    if chunks < 2 or threading.active_count() > 1:
-        return [_score_unit(unit, idf, config) for unit, idf in work]
-    from array import array
-
-    bounds = [len(work) * k // chunks for k in range(chunks + 1)]
-    children = []  # (pid, read end of its pipe, start, stop), not yet reaped
-    try:
-        for start, stop in zip(bounds[1:], bounds[2:]):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_end)
-                _score_in_child(work[start:stop], config, write_end)
-            os.close(write_end)
-            children.append((pid, read_end, start, stop))
-        scored = [_score_unit(unit, idf, config) for unit, idf in work[: bounds[1]]]
-        while children:
-            pid, read_end, start, stop = children[0]
-            with open(read_end, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del children[0]
-            os.close(read_end)
-            values = array("d")
-            if status == 0 and len(data) == values.itemsize * len(_METRICS) * (stop - start):
-                values.frombytes(data)
-                rows = zip(*[iter(values)] * len(_METRICS))  # one unit's floats per row
-                scored += [
-                    SegmentScore(unit.scenario_id, unit.phase, unit.perspective, *row)
-                    for (unit, _), row in zip(work[start:stop], rows)
-                ]
-            else:
-                scored += [_score_unit(unit, idf, config) for unit, idf in work[start:stop]]
-        return scored
-    finally:
-        if children:
-            from signal import SIGKILL
-
-            for pid, read_end, _, _ in children:
-                os.close(read_end)
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
+    chunks = forking.map_chunks(
+        work,
+        lambda chunk: _score_chunk(chunk, config),
+        "d",
+        lambda units: len(_METRICS) * units,
+        MIN_CHUNK_UNITS,
+    )
+    values = itertools.chain.from_iterable(chunks)
+    rows = zip(*[values] * len(_METRICS))  # one unit's floats per row
+    return [
+        SegmentScore(unit.scenario_id, unit.phase, unit.perspective, *row)
+        for (unit, _), row in zip(work, rows)
+    ]
 
 
 def score_captions(

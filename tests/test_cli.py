@@ -243,7 +243,10 @@ def test_duplicate_vqa_prediction_id_exits_2(tmp_path, fixtures_dir, capsys):
         "--pred-vqa", str(pred_path),
     ])
     assert code == 2
-    assert "duplicate prediction id" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "duplicate prediction id" in err
+    # the repeat is the last answer, after the fixture's own
+    assert f"(at answers[{len(doc['answers']) - 1}])" in err
 
 
 def test_vqa_strict_missing_exits_1(tmp_path, fixtures_dir, capsys):

@@ -3,8 +3,9 @@ import random
 import threading
 
 import pytest
+from conftest import _assert_no_child_left
 
-from capvqa import bleu4, cider, compute_idf, meteor, rouge_l, scoring, tokenize
+from capvqa import bleu4, cider, compute_idf, forking, meteor, rouge_l, scoring, tokenize
 from capvqa.dataset_io import (
     PHASES,
     Scenario,
@@ -113,30 +114,11 @@ def _generated_corpus(scenarios=30, seed=11):
     return ScenarioSet(gt), ScenarioSet(pred)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The children `score_captions` forks, counted as it forks them."""
-    forked = []
-    fork = os.fork
-
-    def counted():
-        forked.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forked
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_every_cpu_count_gives_equal_scores(monkeypatch, forks):
     gt, pred = _generated_corpus()
     results = []
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(scoring, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(forking, "_cpu_count", lambda: cpus)
         results.append(score_captions(gt, pred))
     assert len(forks) == 0 + 1 + 2
     assert len(results[0].segments) == 300
@@ -145,7 +127,7 @@ def test_every_cpu_count_gives_equal_scores(monkeypatch, forks):
 
 
 def test_small_corpora_and_threaded_callers_stay_serial(monkeypatch, forks, fixtures_dir):
-    monkeypatch.setattr(scoring, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(forking, "_cpu_count", lambda: 2)
     gt = load_ground_truth(fixtures_dir / "captions_gt.json")
     pred = load_predictions(fixtures_dir / "captions_pred.json")
     assert len(score_captions(gt, pred).segments) < 2 * scoring.MIN_CHUNK_UNITS
@@ -172,7 +154,7 @@ def test_a_failing_child_chunk_raises_in_the_caller_and_leaves_no_child(monkeypa
             raise ValueError(f"cannot score {last}")
         return score_unit(unit, idf, config)
 
-    monkeypatch.setattr(scoring, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(forking, "_cpu_count", lambda: 2)
     monkeypatch.setattr(scoring, "_score_unit", failing)
     with pytest.raises(ValueError, match=f"cannot score {last}"):
         score_captions(gt, pred)
@@ -182,7 +164,7 @@ def test_a_failing_child_chunk_raises_in_the_caller_and_leaves_no_child(monkeypa
 
 def test_a_child_that_sends_short_data_is_rescored_by_the_caller(monkeypatch, forks):
     gt, pred = _generated_corpus()
-    monkeypatch.setattr(scoring, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(forking, "_cpu_count", lambda: 1)
     expected = score_captions(gt, pred)
     caller, score_unit = os.getpid(), scoring._score_unit
 
@@ -191,7 +173,7 @@ def test_a_child_that_sends_short_data_is_rescored_by_the_caller(monkeypatch, fo
             os._exit(0)  # a clean exit before any float is written
         return score_unit(unit, idf, config)
 
-    monkeypatch.setattr(scoring, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(forking, "_cpu_count", lambda: 3)
     monkeypatch.setattr(scoring, "_score_unit", dying)
     assert score_captions(gt, pred) == expected
     assert len(forks) == 2
@@ -207,7 +189,7 @@ def test_an_interrupted_caller_reaps_its_children(monkeypatch, forks):
             raise KeyboardInterrupt
         return score_unit(unit, idf, config)
 
-    monkeypatch.setattr(scoring, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(forking, "_cpu_count", lambda: 3)
     monkeypatch.setattr(scoring, "_score_unit", interrupted)
     with pytest.raises(KeyboardInterrupt):
         score_captions(gt, pred)

@@ -1,12 +1,16 @@
+import os
 import random
+import threading
 from fractions import Fraction
 
 import pytest
+from conftest import _assert_no_child_left
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from capvqa import vqa
+from capvqa import forking, vqa
+from capvqa.dataset_io import load_vqa_items, load_vqa_predictions
 from capvqa.errors import SchemaError, ValidationFailure
 from capvqa.text_norm import PUNCTUATION, TokenizerConfig, tokenize
 from capvqa.vqa import (
@@ -222,13 +226,13 @@ def test_strict_mode_rejects_missing():
 def test_duplicate_prediction_id_rejected():
     items = [_item("q0", gold=1)]
     predictions = [VqaPrediction("q0", "B"), VqaPrediction("q0", "A")]
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=r"^duplicate prediction id 'q0' \(at answers\[1\]\)$"):
         accuracy(items, predictions)
 
 
 def test_duplicate_item_id_rejected():
-    with pytest.raises(SchemaError):
-        accuracy([_item("q0"), _item("q0")], [])
+    with pytest.raises(SchemaError, match=r"^duplicate question id 'q0' \(at questions\[2\]\)$"):
+        accuracy([_item("q0"), _item("q1"), _item("q0")], [])
 
 
 def test_unknown_policy_rejected():
@@ -273,3 +277,98 @@ def test_item_validation():
         _item(options=["only one"])
     with pytest.raises(SchemaError):
         _item(options=["Same text", "same text!"])
+
+
+@pytest.fixture(scope="module")
+def bulk():
+    """Enough items for three chunks of answers, with every answer form and some missing."""
+    rng = random.Random(12)
+    items, predictions = [], []
+    for i in range(3 * vqa.MIN_CHUNK_ANSWERS):
+        item = _item(f"q{i:05d}", gold=rng.randrange(4), options=OPTIONS)
+        items.append(item)
+        option = rng.choice(OPTIONS)
+        forms = ["B", "c)", "d: maybe", option, f"I think {option.lower()}", "no idea", ""]
+        if rng.random() < 0.95:
+            predictions.append(VqaPrediction(item.id, rng.choice(forms)))
+    rng.shuffle(predictions)
+    return items, predictions
+
+
+def test_every_cpu_count_gives_equal_accuracy(monkeypatch, forks, bulk):
+    affinity = os.sched_getaffinity(0)
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(forking, "_cpu_count", lambda: cpus)
+        results.append(accuracy(*bulk))
+    assert len(forks) == 0 + 1 + 2
+    assert 0 < results[0].correct < results[0].total == len(bulk[0])
+    assert results[0] == results[1] == results[2]
+    # the caller ran pinned to one CPU while it forked, and is unpinned again
+    assert os.sched_getaffinity(0) == affinity
+    _assert_no_child_left()
+
+
+def test_fixtures_and_threaded_callers_resolve_in_place(monkeypatch, forks, fixtures_dir, bulk):
+    monkeypatch.setattr(forking, "_cpu_count", lambda: 2)
+    items = load_vqa_items(fixtures_dir / "vqa_gold.json")
+    accuracy(items, load_vqa_predictions(fixtures_dir / "vqa_pred.json"))
+    assert len(items) < 2 * vqa.MIN_CHUNK_ANSWERS
+
+    # a fork copies only the forking thread, so a threaded caller resolves in place
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        accuracy(*bulk)
+    finally:
+        release.set()
+        waiter.join()
+    assert forks == []
+
+
+def test_a_child_that_exits_before_writing_is_resolved_by_the_caller(monkeypatch, forks, bulk):
+    monkeypatch.setattr(forking, "_cpu_count", lambda: 1)
+    expected = accuracy(*bulk)
+    caller, resolve = os.getpid(), vqa._resolve
+
+    def dying(raw, normalized_options):
+        if os.getpid() != caller:
+            os._exit(0)  # a clean exit before the count is written
+        return resolve(raw, normalized_options)
+
+    monkeypatch.setattr(forking, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(vqa, "_resolve", dying)
+    assert accuracy(*bulk) == expected
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_an_interrupted_caller_leaves_no_child(monkeypatch, forks, bulk):
+    caller, resolve = os.getpid(), vqa._resolve
+
+    def interrupted(raw, normalized_options):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return resolve(raw, normalized_options)
+
+    monkeypatch.setattr(forking, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(vqa, "_resolve", interrupted)
+    affinity = os.sched_getaffinity(0)
+    with pytest.raises(KeyboardInterrupt):
+        accuracy(*bulk)
+    assert len(forks) == 2
+    assert os.sched_getaffinity(0) == affinity
+    _assert_no_child_left()
+
+
+def test_input_errors_raise_before_any_fork(monkeypatch, forks, bulk):
+    monkeypatch.setattr(forking, "_cpu_count", lambda: 3)
+    items, predictions = bulk
+    with pytest.raises(SchemaError, match=r"^duplicate prediction id .* \(at answers\[\d+\]\)$"):
+        accuracy(items, [*predictions, predictions[0]])
+    with pytest.raises(SchemaError, match=r"^duplicate question id .* \(at questions\[\d+\]\)$"):
+        accuracy([*items, items[0]], predictions)
+    with pytest.raises(ValidationFailure, match="have no prediction"):
+        accuracy(items, predictions, missing_policy="strict")
+    assert forks == []
