@@ -41,6 +41,32 @@ def effective_reference_length(candidate_len: int, references: Sequence[Sequence
     return best
 
 
+def modified_precision(matches: int, windows: int, zero_policy: str) -> float:
+    """One order's modified precision: clipped matches over candidate windows.
+
+    A candidate with no window of the order has precision 0; the `epsilon`
+    policy floors a zero precision at `EPSILON_FLOOR`.
+    """
+    p = matches / windows if windows > 0 else 0.0
+    if p == 0.0 and zero_policy == "epsilon":
+        p = EPSILON_FLOOR
+    return p
+
+
+def brevity_penalty(c: int, r: int) -> float:
+    """BP for a candidate of length c against reference length r; 0 when c is 0."""
+    if c == 0:
+        return 0.0
+    return 1.0 if c > r else math.exp(1.0 - r / c)
+
+
+def bleu_score(precisions: Sequence[float], bp: float) -> float:
+    """BP times the geometric mean of the precisions; 0 if any precision is."""
+    if any(p == 0.0 for p in precisions):
+        return 0.0
+    return bp * math.exp(sum(math.log(p) for p in precisions) / MAX_ORDER)
+
+
 def bleu4(
     candidate: Sequence[str],
     references: Sequence[Sequence[str]],
@@ -59,28 +85,18 @@ def bleu4(
         )
 
     c = len(candidate)
-    r = effective_reference_length(c, references)
     if c == 0:
         return BleuBreakdown(precisions=(0.0,) * 4, brevity_penalty=0.0, score=0.0)
-    bp = 1.0 if c > r else math.exp(1.0 - r / c)
-
     cand_table = ngram_table(candidate)
     ref_tables = [ngram_table(ref) for ref in references]
-    precisions = []
-    for n in range(1, MAX_ORDER + 1):
-        total = c - n + 1  # the candidate's order-n windows
-        if total <= 0:
-            p = 0.0
-        else:
-            p = clipped_matches(cand_table[n - 1], [table[n - 1] for table in ref_tables]) / total
-        if p == 0.0 and zero_policy == "epsilon":
-            p = EPSILON_FLOOR
-        precisions.append(p)
-
-    if any(p == 0.0 for p in precisions):
-        score = 0.0
-    else:
-        score = bp * math.exp(sum(math.log(p) for p in precisions) / MAX_ORDER)
-    return BleuBreakdown(
-        precisions=tuple(precisions), brevity_penalty=bp, score=score
+    precisions = tuple(
+        modified_precision(
+            clipped_matches(cand_table[n - 1], [table[n - 1] for table in ref_tables]),
+            c - n + 1,  # the candidate's order-n windows
+            zero_policy,
+        )
+        for n in range(1, MAX_ORDER + 1)
     )
+    bp = brevity_penalty(c, effective_reference_length(c, references))
+    score = bleu_score(precisions, bp)
+    return BleuBreakdown(precisions=precisions, brevity_penalty=bp, score=score)

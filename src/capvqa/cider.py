@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .ngrams import MAX_ORDER, extract_ngrams, ngram_table, windows
 
@@ -84,7 +84,23 @@ def compute_idf(corpus: Sequence[Sequence[Sequence[str]]]) -> CiderCorpusIdf:
     return CiderCorpusIdf(num_docs=len(corpus), df=df)
 
 
-def _tfidf(counts: Counter, n: int, idf: CiderCorpusIdf) -> dict[tuple, float]:
+def idf_from_tables(tables: Sequence[Sequence[Mapping[tuple, int]]]) -> CiderCorpusIdf:
+    """`compute_idf` of one-reference sets, from each reference's `ngram_table`.
+
+    A table holds each of its reference's grams once, so counting the
+    tables' grams counts each set once per gram it contains.
+    """
+    if not tables:
+        raise ValueError("cider idf requires a non-empty corpus")
+    df = {
+        n: Counter(chain.from_iterable(table[n - 1] for table in tables))
+        for n in range(1, MAX_ORDER + 1)
+    }
+    return CiderCorpusIdf(num_docs=len(tables), df=df)
+
+
+def tfidf_weights(counts: Mapping[tuple, int], n: int, idf: CiderCorpusIdf) -> dict[tuple, float]:
+    """Sparse TF-IDF vector of one caption's order-n window counts."""
     total = sum(counts.values())
     if total == 0:
         return {}
@@ -97,19 +113,35 @@ def _tfidf(counts: Counter, n: int, idf: CiderCorpusIdf) -> dict[tuple, float]:
 
 def tfidf_vector(tokens: Sequence[str], n: int, idf: CiderCorpusIdf) -> dict[tuple, float]:
     """Sparse TF-IDF vector over the order-n n-grams of one caption."""
-    return _tfidf(extract_ngrams(tokens, n), n, idf)
+    return tfidf_weights(extract_ngrams(tokens, n), n, idf)
 
 
-def _cosine(a: Mapping[tuple, float], b: Mapping[tuple, float]) -> float:
+def _cosine(a: Mapping[tuple, float], b: Mapping[tuple, float], common: Iterable[tuple]) -> float:
+    """Cosine of `a` and `b`, whose shared keys are `common`."""
     # zero vectors (empty captions, single-document corpora) score 0
     norm_a = math.sqrt(math.fsum([v * v for v in a.values()]))
     norm_b = math.sqrt(math.fsum([v * v for v in b.values()]))
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
-    # a gram `b` lacks adds a zero term (weights are finite and >= 0);
+    # a key outside `common` adds a zero term (weights are finite and >= 0);
     # fsum is exactly rounded, so leaving those out gives the same float
-    dot = math.fsum([v * b[k] for k, v in a.items() if k in b])
+    dot = math.fsum([a[k] * b[k] for k in common])
     return dot / (norm_a * norm_b)
+
+
+def similarity(
+    cand_vec: Mapping[tuple, float],
+    ref_vec: Mapping[tuple, float],
+    common: Iterable[tuple],
+    penalty: float,
+) -> float:
+    """One order's similarity of a candidate to one reference.
+
+    The cosine of their TF-IDF vectors, whose shared grams are `common`,
+    times the `length_penalty` of the pair.
+    """
+    # rounding can lift the cosine of equal vectors an ulp above 1
+    return min(_cosine(cand_vec, ref_vec, common), 1.0) * penalty
 
 
 def length_penalty_spread(sigma: float, name: str = "length_penalty_sigma") -> float:
@@ -130,6 +162,19 @@ def length_penalty_spread(sigma: float, name: str = "length_penalty_sigma") -> f
     return spread
 
 
+def length_penalty(candidate_len: int, reference_len: int, spread: float | None) -> float:
+    """The Gaussian length penalty for `length_penalty_spread` `spread`; 1 without one."""
+    if spread is None:
+        return 1.0
+    delta = candidate_len - reference_len
+    return math.exp(-(delta * delta) / spread)
+
+
+def cider_score(per_n: Sequence[float], scale: float) -> float:
+    """The score: the mean of the per-order similarities, times `scale`."""
+    return scale * math.fsum(per_n) / MAX_ORDER
+
+
 def cider(
     candidate: Sequence[str],
     references: Sequence[Sequence[str]],
@@ -147,21 +192,20 @@ def cider(
         raise ValueError("cider requires at least one reference")
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be a finite number > 0, got {scale}")
+    spread = None
     if length_penalty_sigma is not None:
         spread = length_penalty_spread(length_penalty_sigma)
+    penalties = [length_penalty(len(candidate), len(ref), spread) for ref in references]
     cand_table = ngram_table(candidate)
     ref_tables = [ngram_table(reference) for reference in references]
     per_n = []
     for n in range(1, MAX_ORDER + 1):
-        cand_vec = _tfidf(cand_table[n - 1], n, idf)
+        cand_counts = cand_table[n - 1]
+        cand_vec = tfidf_weights(cand_counts, n, idf)
         sims = []
-        for reference, ref_table in zip(references, ref_tables):
-            # rounding can lift the cosine of equal vectors an ulp above 1
-            sim = min(_cosine(cand_vec, _tfidf(ref_table[n - 1], n, idf)), 1.0)
-            if length_penalty_sigma is not None:
-                delta = len(candidate) - len(reference)
-                sim *= math.exp(-(delta * delta) / spread)
-            sims.append(sim)
+        for ref_table, penalty in zip(ref_tables, penalties):
+            ref_counts = ref_table[n - 1]
+            common = cand_counts.keys() & ref_counts.keys()
+            sims.append(similarity(cand_vec, tfidf_weights(ref_counts, n, idf), common, penalty))
         per_n.append(math.fsum(sims) / len(references))
-    score = scale * math.fsum(per_n) / MAX_ORDER
-    return CiderBreakdown(per_n=tuple(per_n), score=score)
+    return CiderBreakdown(per_n=tuple(per_n), score=cider_score(per_n, scale))

@@ -1,9 +1,7 @@
 """n-gram extraction and clipped matching, shared by BLEU and CIDEr."""
 
-import operator
 from collections import Counter
-from functools import cached_property, reduce
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_ORDER = 4
 
@@ -24,33 +22,29 @@ def extract_ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(windows(tokens, n))
 
 
-class Tokens(tuple):
-    """A token sequence that counts its 1-4-grams once, on first use.
-
-    BLEU and CIDEr both read `ngrams`. A scoring unit wraps its candidate
-    and its reference in one of these, so the two metrics share one table
-    per caption, and the table is dropped with the unit.
-    """
-
-    @cached_property
-    def ngrams(self) -> tuple[Counter, ...]:
-        """Window counts by order: index n - 1 holds the order-n counts."""
-        # `windows` for n = 1..4 (MAX_ORDER), each shifted copy sliced once
-        t1, t2, t3 = self[1:], self[2:], self[3:]
-        return (
-            Counter(zip(self)),
-            Counter(zip(self, t1)),
-            Counter(zip(self, t1, t2)),
-            Counter(zip(self, t1, t2, t3)),
-        )
-
-
 def ngram_table(tokens: Sequence[str]) -> tuple[Counter, ...]:
-    """The 1-4-gram counts of `tokens`, counted once per `Tokens` object."""
-    return (tokens if isinstance(tokens, Tokens) else Tokens(tokens)).ngrams
+    """The 1-4-gram counts of `tokens`: index n - 1 holds the order-n counts."""
+    # `windows` for n = 1..4 (MAX_ORDER), each shifted copy sliced once
+    t1, t2, t3 = tokens[1:], tokens[2:], tokens[3:]
+    return (
+        Counter(zip(tokens)),
+        Counter(zip(tokens, t1)),
+        Counter(zip(tokens, t1, t2)),
+        Counter(zip(tokens, t1, t2, t3)),
+    )
 
 
-def clipped_matches(candidate: Counter, references: Sequence[Counter]) -> int:
+def clipped_count(
+    candidate: Mapping[tuple, int], ceiling: Mapping[tuple, int], common: Iterable[tuple]
+) -> int:
+    """Sum over `common` of each gram's candidate count, clipped to its ceiling.
+
+    `common` holds the grams both counts share; any other gram clips to 0.
+    """
+    return sum([min(candidate[gram], ceiling[gram]) for gram in common])
+
+
+def clipped_matches(candidate: Mapping[tuple, int], references: Sequence[Mapping]) -> int:
     """Candidate n-gram count clipped to the per-gram maximum over references.
 
     This is the numerator of BLEU's modified precision: each candidate
@@ -59,6 +53,13 @@ def clipped_matches(candidate: Counter, references: Sequence[Counter]) -> int:
     """
     if not references:
         return 0
-    # `|` keeps each gram's largest count; one reference is its own ceiling
-    ceiling = references[0] if len(references) == 1 else reduce(operator.or_, references)
-    return sum([min(candidate[gram], ceiling[gram]) for gram in candidate.keys() & ceiling.keys()])
+    ceiling = references[0]  # one reference is its own ceiling
+    if len(references) > 1:
+        # each gram's largest count; `|` would do this for Counters only,
+        # and merge plain dicts instead, the last reference's count winning
+        ceiling = {}
+        for reference in references:
+            for gram, count in reference.items():
+                if count > ceiling.get(gram, 0):
+                    ceiling[gram] = count
+    return clipped_count(candidate, ceiling, candidate.keys() & ceiling.keys())

@@ -2,16 +2,18 @@
 
 Every (scenario, phase, perspective) pair is one scoring unit: its
 predicted caption is the candidate, the ground-truth caption its single
-reference. The TF-IDF statistics for the consensus metric are built per
-split, over that split's reference captions, before any unit is scored.
-Units are then scored on the CPUs the process may run on (`taskset`
-limits that set), as `vqa.accuracy` resolves its answers: through
-`forking.map_chunks`, the unit list is cut into one contiguous chunk per
-CPU, the caller scores the first and a forked child each other one, and
-the scores are reduced in a fixed sorted order. A unit's score depends
-only on the unit, its split's statistics and the config, and the
-children send their floats back bit for bit, so the output is
-byte-identical for any CPU count.
+reference. Units are scored on the CPUs the process may run on
+(`taskset` limits that set), as `vqa.accuracy` resolves its answers:
+through `forking.map_chunks`, the list of units, still raw caption text,
+is cut into one contiguous chunk per CPU, and the caller scores the
+first chunk and a forked child each other one. A chunk tokenizes the
+references of every split it scores and builds that split's TF-IDF
+statistics for the consensus metric from all of them, then tokenizes its
+own candidates and scores its units; a split that spans two chunks has
+its statistics built in both. The scores are reduced in a fixed sorted
+order. A unit's score depends only on the unit, its split's statistics
+and the config, and the children send their floats back bit for bit, so
+the output is byte-identical for any CPU count.
 
 Missing units score against an empty candidate (which gives 0 on every
 metric); strict completeness checking lives in the CLI via
@@ -21,24 +23,28 @@ metric); strict completeness checking lives in the CLI via
 import itertools
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import forking
-from .bleu import bleu4
+from .bleu import bleu_score, brevity_penalty, modified_precision
 from .cider import (
     DEFAULT_SCALE,
     MAX_SCALE,
     CiderCorpusIdf,
-    cider,
-    compute_idf,
+    cider_score,
+    idf_from_tables,
+    length_penalty,
     length_penalty_spread,
+    similarity,
+    tfidf_weights,
 )
 from .composite import SplitScores
 from .dataset_io import PHASES, SPLITS, ScenarioSet
 from .meteor import DEFAULT_PARAMS as DEFAULT_METEOR_PARAMS
 from .meteor import MeteorParams, meteor
-from .ngrams import Tokens
+from .ngrams import MAX_ORDER, clipped_count, ngram_table
 from .rouge import rouge_l
 from .text_norm import DEFAULT_TOKENIZER, TokenizerConfig, tokenize
 
@@ -86,18 +92,23 @@ class CaptionScores:
     segments: list[SegmentScore] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class _Unit:
+class _Unit(NamedTuple):
+    """One (scenario, phase, perspective) caption pair.
+
+    `_collect_units` holds both captions as raw text. A chunk hands
+    `_score_unit` the unit with token lists in their place and the
+    reference's `ngram_table`, which its split's IDF is built from too.
+    """
+
     scenario_id: str
     phase: str
     perspective: str
-    candidate: tuple[str, ...]
-    reference: tuple[str, ...]
+    candidate: Sequence[str]
+    reference: Sequence[str]
+    reference_ngrams: tuple[Counter, ...] = ()
 
 
-def _collect_units(
-    gt: ScenarioSet, pred: ScenarioSet, config: ScoringConfig
-) -> dict[str, list[_Unit]]:
+def _collect_units(gt: ScenarioSet, pred: ScenarioSet) -> dict[str, list[_Unit]]:
     pred_index: dict[tuple[str, str], object] = {}
     for scenario in pred.scenarios:
         for segment in scenario.segments:
@@ -113,13 +124,7 @@ def _collect_units(
                     getattr(predicted, f"{perspective}_caption") if predicted else ""
                 )
                 units[scenario.split].append(
-                    _Unit(
-                        scenario_id=scenario.id,
-                        phase=segment.phase,
-                        perspective=perspective,
-                        candidate=tuple(tokenize(candidate, config.tokenizer)),
-                        reference=tuple(tokenize(reference, config.tokenizer)),
-                    )
+                    _Unit(scenario.id, segment.phase, perspective, candidate, reference)
                 )
     return units
 
@@ -128,20 +133,27 @@ def _score_unit(
     unit: _Unit, idf: CiderCorpusIdf, config: ScoringConfig
 ) -> tuple[float, float, float, float]:
     """The unit's scores, in `SegmentScore` field order (`_METRICS`)."""
-    # BLEU and CIDEr share one n-gram table per caption, freed with the unit
-    candidate, reference = Tokens(unit.candidate), Tokens(unit.reference)
-    references = [reference]
+    candidate, reference = unit.candidate, unit.reference
+    c, r = len(candidate), len(reference)
+    sigma = config.cider_length_penalty_sigma
+    penalty = length_penalty(c, r, None if sigma is None else length_penalty_spread(sigma))
+    precisions, similarities = [], []
+    # BLEU's clipped count and CIDEr's dot product both run over the grams
+    # the two captions share, found once per order
+    orders = zip(range(1, MAX_ORDER + 1), ngram_table(candidate), unit.reference_ngrams)
+    for n, cand, ref in orders:
+        common = cand.keys() & ref.keys()
+        matches = clipped_count(cand, ref, common)
+        precisions.append(modified_precision(matches, c - n + 1, config.bleu_zero_policy))
+        similarities.append(
+            similarity(tfidf_weights(cand, n, idf), tfidf_weights(ref, n, idf), common, penalty)
+        )
     return (
-        bleu4(candidate, references, config.bleu_zero_policy).score,
-        meteor(candidate, references, config.meteor_params).score,
+        bleu_score(precisions, brevity_penalty(c, r)),
+        meteor(candidate, [reference], config.meteor_params).score,
         rouge_l(candidate, reference, config.rouge_convention).score,
-        cider(
-            candidate,
-            references,
-            idf,
-            scale=config.cider_scale,
-            length_penalty_sigma=config.cider_length_penalty_sigma,
-        ).score,
+        # one reference: each order's similarity is its per-order mean
+        cider_score(similarities, config.cider_scale),
     )
 
 
@@ -149,38 +161,67 @@ def _mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values) if values else 0.0
 
 
-# Units a forked chunk must hold, or scoring stays serial. Forking, piping
-# and reaping a child of a 30-90 MB process took 3-5 ms on a 2-CPU Xeon
-# VM, and the copy-on-write faults that follow about as much again: the
-# work of 20-30 short units. A chunk of 64 gains at least twice its cost.
+# Units a forked chunk must hold, or scoring stays serial. On a 2-CPU Xeon
+# VM, forking, piping and reaping a child took 2.5-3.3 ms at a 17-19 MB
+# heap and 6.5-8.6 ms at 62 MB, while tokenizing a candidate and scoring
+# its unit took 0.25-0.29 ms for 10-25 tokens and 0.62-0.71 ms for 40-100.
+# A chunk also tokenizes and counts every reference of its splits and
+# builds their IDF, 60-170 us per unit of the split; chunks sharing a split
+# do so at the same time, which costs CPU but no wall time. So a chunk of
+# 64 short units does 16-19 ms of work against 3-9 ms of fixed cost.
 MIN_CHUNK_UNITS = 64
 
 # Floats scored per unit, in `SegmentScore` field order.
 _METRICS = ("bleu4", "meteor", "rouge_l", "cider")
 
 
-def _score_chunk(work: Sequence, config: ScoringConfig) -> array:
-    """The `_METRICS` floats of each (unit, idf) pair in `work`, unit after unit."""
+def _score_chunk(
+    positions: range, units_by_split: dict[str, list[_Unit]], config: ScoringConfig
+) -> array:
+    """The `_METRICS` floats of the units at `positions`, unit after unit.
+
+    Positions count through the splits in `SPLITS` order. For each split
+    the chunk reaches, it tokenizes all of that split's references, counts
+    their n-grams and builds the split's IDF from those counts, then
+    tokenizes its own candidates and scores its own units of the split.
+    """
     values = array("d")
-    for unit, idf in work:
-        values.extend(_score_unit(unit, idf, config))
+    offset = 0
+    for split in SPLITS:
+        units = units_by_split[split]
+        start = max(positions.start - offset, 0)
+        stop = min(positions.stop - offset, len(units))
+        offset += len(units)
+        if start >= stop:
+            continue
+        references = [tokenize(unit.reference, config.tokenizer) for unit in units]
+        tables = [ngram_table(reference) for reference in references]
+        idf = idf_from_tables(tables)
+        own = zip(units[start:stop], references[start:stop], tables[start:stop])
+        for unit, reference, table in own:
+            candidate = tokenize(unit.candidate, config.tokenizer)
+            tokenized = _Unit(*unit[:3], candidate, reference, table)
+            values.extend(_score_unit(tokenized, idf, config))
     return values
 
 
-def _score_units(work: list, config: ScoringConfig) -> list[SegmentScore]:
-    """Score (unit, idf) pairs, in order, one contiguous chunk per CPU."""
+def _score_units(
+    units_by_split: dict[str, list[_Unit]], config: ScoringConfig
+) -> list[SegmentScore]:
+    """Score every unit, split after split, one contiguous chunk per CPU."""
+    units = [unit for split in SPLITS for unit in units_by_split[split]]
     chunks = forking.map_chunks(
-        work,
-        lambda chunk: _score_chunk(chunk, config),
+        range(len(units)),
+        lambda positions: _score_chunk(positions, units_by_split, config),
         "d",
-        lambda units: len(_METRICS) * units,
+        lambda count: len(_METRICS) * count,
         MIN_CHUNK_UNITS,
     )
     values = itertools.chain.from_iterable(chunks)
     rows = zip(*[values] * len(_METRICS))  # one unit's floats per row
     return [
         SegmentScore(unit.scenario_id, unit.phase, unit.perspective, *row)
-        for (unit, _), row in zip(work, rows)
+        for unit, row in zip(units, rows)
     ]
 
 
@@ -196,16 +237,8 @@ def score_captions(
     """
     if not gt.scenarios:
         raise ValueError("ground truth has no scenarios to score")
-    units_by_split = _collect_units(gt, pred, config)
-    idf_by_split = {
-        split: compute_idf([[unit.reference] for unit in units])
-        for split, units in units_by_split.items()
-        if units
-    }
-    all_segments = _score_units(
-        [(unit, idf_by_split[split]) for split in SPLITS for unit in units_by_split[split]],
-        config,
-    )
+    units_by_split = _collect_units(gt, pred)
+    all_segments = _score_units(units_by_split, config)
 
     split_results: dict[str, SplitScores] = {}
     start = 0

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from capvqa.cider import _cosine, cider, compute_idf, tfidf_vector
+from capvqa.cider import _cosine, cider, compute_idf, idf_from_tables, tfidf_vector
+from capvqa.ngrams import ngram_table
 
 
 def _load_fixture(fixtures_dir):
@@ -175,6 +176,21 @@ def test_idf_tables_match_per_set_update_reference(corpus):
     assert compute_idf(corpus).df == oracles.compute_idf_reference(corpus)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("abcde"), max_size=8), min_size=1, max_size=6))
+def test_idf_from_tables_equals_compute_idf_of_one_reference_sets(references):
+    # score_captions builds a split's IDF from the reference tables it scores with
+    expected = compute_idf([[reference] for reference in references])
+    got = idf_from_tables([ngram_table(reference) for reference in references])
+    assert (got.num_docs, got.df) == (expected.num_docs, expected.df)
+    assert got.log_idf == expected.log_idf
+
+
+def test_idf_from_tables_rejects_an_empty_corpus():
+    with pytest.raises(ValueError):
+        idf_from_tables([])
+
+
 # TF-IDF weights are products of a term frequency and ln(num_docs / df),
 # so never negative; subnormals and exact zeros are kept in.
 _WEIGHT_VECTORS = st.dictionaries(
@@ -187,4 +203,4 @@ _WEIGHT_VECTORS = st.dictionaries(
 @settings(max_examples=500, deadline=None)
 @given(_WEIGHT_VECTORS, _WEIGHT_VECTORS)
 def test_cosine_is_bit_identical_to_all_keys_reference(a, b):
-    assert repr(_cosine(a, b)) == repr(oracles.cosine_reference(a, b))
+    assert repr(_cosine(a, b, a.keys() & b.keys())) == repr(oracles.cosine_reference(a, b))

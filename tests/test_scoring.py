@@ -6,6 +6,7 @@ import pytest
 from conftest import _assert_no_child_left
 
 from capvqa import bleu4, cider, compute_idf, forking, meteor, rouge_l, scoring, tokenize
+from capvqa.cider import CiderCorpusIdf
 from capvqa.dataset_io import (
     PHASES,
     Scenario,
@@ -30,10 +31,17 @@ from capvqa.scoring import ScoringConfig, score_captions
     ],
 )
 def test_segments_equal_direct_metric_calls(fixtures_dir, config):
-    # score_captions shares one n-gram table per caption between BLEU and
-    # CIDEr; each segment must still equal the public metric functions
-    gt = load_ground_truth(fixtures_dir / "captions_gt.json")
-    pred = load_predictions(fixtures_dir / "captions_pred.json")
+    # score_captions counts BLEU's clipped matches and CIDEr's cosine in one
+    # pass per order; each segment must still equal the public metric functions
+    fixtures = (
+        load_ground_truth(fixtures_dir / "captions_gt.json"),
+        load_predictions(fixtures_dir / "captions_pred.json"),
+    )
+    for gt, pred in (fixtures, _generated_corpus()):
+        _assert_segments_equal_direct_metric_calls(gt, pred, config)
+
+
+def _assert_segments_equal_direct_metric_calls(gt, pred, config):
     captions = {
         (s.id, g.phase, p): getattr(g, f"{p}_caption")
         for s in pred.scenarios for g in s.segments for p in ("pedestrian", "vehicle")
@@ -96,9 +104,10 @@ def test_ground_truth_without_scenarios_is_rejected(fixtures_dir):
         score_captions(ScenarioSet(scenarios=[]), pred)
 
 
-def _generated_corpus(scenarios=30, seed=11):
-    # 30 scenarios: 300 units over both splits, some predictions missing,
-    # captions of 0-30 tokens over a small vocabulary so words repeat
+def _generated_corpus(scenarios=30, seed=11, external_every=3):
+    # 30 scenarios: 300 units over both splits (2:1 by default, even with
+    # `external_every=2`), some predictions missing, captions of 0-30
+    # tokens over a small vocabulary so words repeat
     rng = random.Random(seed)
     words = "the a pedestrian vehicle driver car crossed stopped near road lane slowly . ,".split()
 
@@ -107,7 +116,7 @@ def _generated_corpus(scenarios=30, seed=11):
 
     gt, pred = [], []
     for k in range(scenarios):
-        split = "external" if k % 3 == 0 else "internal"
+        split = "external" if k % external_every == 0 else "internal"
         gt.append(Scenario(f"s{k:03d}", [Segment(p, caption(), caption()) for p in PHASES], split))
         predicted = [Segment(p, caption(), caption()) for p in PHASES if rng.random() < 0.9]
         pred.append(Scenario(f"s{k:03d}", predicted))
@@ -115,14 +124,36 @@ def _generated_corpus(scenarios=30, seed=11):
 
 
 def test_every_cpu_count_gives_equal_scores(monkeypatch, forks):
-    gt, pred = _generated_corpus()
-    results = []
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(forking, "_cpu_count", lambda: cpus)
-        results.append(score_captions(gt, pred))
-    assert len(forks) == 0 + 1 + 2
-    assert len(results[0].segments) == 300
-    assert results[0] == results[1] == results[2]
+    # 2:1 splits put a split in two chunks under 2 CPUs; even ones do not
+    for external_every in (3, 2):
+        gt, pred = _generated_corpus(external_every=external_every)
+        results = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(forking, "_cpu_count", lambda: cpus)
+            results.append(score_captions(gt, pred))
+        assert len(results[0].segments) == 300
+        assert results[0] == results[1] == results[2]
+    assert len(forks) == 2 * (0 + 1 + 2)
+    _assert_no_child_left()
+
+
+def test_each_chunk_builds_only_the_idf_of_the_splits_it_scores(monkeypatch, forks):
+    # even splits and 2 CPUs: the caller scores (and builds the IDF of) the
+    # internal split alone, and its child the external one
+    caller, idf_docs = os.getpid(), []
+    post_init = CiderCorpusIdf.__post_init__
+
+    def counted(idf):
+        if os.getpid() == caller:
+            idf_docs.append(idf.num_docs)
+        post_init(idf)
+
+    monkeypatch.setattr(forking, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(CiderCorpusIdf, "__post_init__", counted)
+    gt, pred = _generated_corpus(external_every=2)
+    score_captions(gt, pred)
+    assert len(forks) == 1
+    assert idf_docs == [150]
     _assert_no_child_left()
 
 
