@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .ngrams import MAX_ORDER, extract_ngrams, ngram_table, windows
+from .ngrams import MAX_ORDER, extract_ngrams, ngram_table
 
 DEFAULT_SCALE = 10.0
 # The largest scale a corpus run accepts. A unit's score is at most the
@@ -47,9 +47,6 @@ class CiderCorpusIdf:
             self, "log_idf", {df: math.log(self.num_docs / df) for df in values}
         )
 
-    def idf(self, gram: tuple) -> float:
-        return self.log_idf[self.df[len(gram)].get(gram, 1)]
-
 
 @dataclass
 class CiderBreakdown:
@@ -64,31 +61,25 @@ def compute_idf(corpus: Sequence[Sequence[Sequence[str]]]) -> CiderCorpusIdf:
     token sequences. Order-independent: shuffling the corpus yields the
     same statistics.
     """
-    if not corpus:
-        raise ValueError("cider idf requires a non-empty corpus")
-    # The windows of one reference whose tokens are all distinct are
-    # distinct already; any other set's grams go through a set.
-    distinct_tokens = [
-        len(references) == 1 and len(set(references[0])) == len(references[0])
-        for references in corpus
-    ]
-    # one C-level count per order over every set's grams, chained
-    df = {
-        n: Counter(chain.from_iterable(
-            windows(references[0], n) if distinct
-            else set().union(*[windows(reference, n) for reference in references])
-            for references, distinct in zip(corpus, distinct_tokens)
-        ))
-        for n in range(1, MAX_ORDER + 1)
-    }
-    return CiderCorpusIdf(num_docs=len(corpus), df=df)
+    grams = []
+    for references in corpus:
+        tables = [ngram_table(reference) for reference in references]
+        # a set of several references takes each order's union, and an
+        # empty set has no grams but still counts as a document
+        grams.append(
+            tables[0] if len(tables) == 1
+            else [set().union(*[table[n] for table in tables]) for n in range(MAX_ORDER)]
+        )
+    return idf_from_tables(grams)
 
 
-def idf_from_tables(tables: Sequence[Sequence[Mapping[tuple, int]]]) -> CiderCorpusIdf:
-    """`compute_idf` of one-reference sets, from each reference's `ngram_table`.
+def idf_from_tables(tables: Sequence[Sequence[Iterable[tuple]]]) -> CiderCorpusIdf:
+    """`compute_idf` from the grams of each reference set, one collection per order.
 
-    A table holds each of its reference's grams once, so counting the
-    tables' grams counts each set once per gram it contains.
+    `tables[d][n - 1]` holds the distinct order-n grams of set d: one
+    reference's `ngram_table` serves as is, and any other collection of
+    distinct grams, such as a set, does too. Counting every set's grams
+    then counts each set once per gram it contains.
     """
     if not tables:
         raise ValueError("cider idf requires a non-empty corpus")

@@ -43,21 +43,21 @@ def _solve_in_child(solve: Callable, chunk: Sequence, write_end: int) -> NoRetur
 def map_chunks(
     work: Sequence[Work],
     solve: Callable[[Sequence[Work]], array],
-    typecode: str,
     length: Callable[[int], int],
     min_chunk: int,
 ) -> list[array]:
     """`solve` of each contiguous chunk of `work`, one chunk per CPU, in order.
 
-    `solve(chunk)` returns an `array` of `typecode` holding
-    `length(len(chunk))` values. Chunk k runs on the k-th CPU of the
-    affinity set, the caller's own chunk on the first. The work stays one
-    serial chunk without `fork` or `sched_getaffinity`, when another
-    thread runs (a fork copies only the forking thread, whatever locks the
-    others hold), and when a chunk would hold fewer than `min_chunk`
-    items. A child that exits non-zero or sends short data has its chunk
-    solved again here, and every child not yet reaped is killed and
-    reaped on the way out, KeyboardInterrupt included.
+    `solve(chunk)` returns an `array` holding `length(len(chunk))` values,
+    of one typecode for every chunk: a child's bytes are read back as the
+    type of the caller's own chunk, which is solved first. Chunk k runs on
+    the k-th CPU of the affinity set, the caller's own chunk on the first.
+    The work stays one serial chunk without `fork` or `sched_getaffinity`,
+    when another thread runs (a fork copies only the forking thread,
+    whatever locks the others hold), and when a chunk would hold fewer
+    than `min_chunk` items. A child that exits non-zero or sends short
+    data has its chunk solved again here, and every child not yet reaped
+    is killed and reaped on the way out, KeyboardInterrupt included.
     """
     chunks = min(_cpu_count(), len(work) // min_chunk)
     if chunks < 2 or threading.active_count() > 1:
@@ -92,7 +92,7 @@ def map_chunks(
             _, status = os.waitpid(pid, 0)
             del children[0]
             os.close(read_end)
-            values = array(typecode)
+            values = array(solved[0].typecode)
             if status == 0 and len(data) == values.itemsize * length(stop - start):
                 values.frombytes(data)
             else:

@@ -1,15 +1,9 @@
 """n-gram extraction and clipped matching, shared by BLEU and CIDEr."""
 
 from collections import Counter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 MAX_ORDER = 4
-
-
-def windows(tokens: Sequence[str], n: int) -> Iterator[tuple]:
-    """Every n-token window of `tokens`, in order, as a tuple."""
-    # zipping n shifted slices builds each window in C, not in a Python loop
-    return zip(*(tokens[k:] for k in range(n)))
 
 
 def extract_ngrams(tokens: Sequence[str], n: int) -> Counter:
@@ -19,12 +13,13 @@ def extract_ngrams(tokens: Sequence[str], n: int) -> Counter:
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"n-gram order must be in [1, {MAX_ORDER}], got {n}")
-    return Counter(windows(tokens, n))
+    # zipping n shifted slices builds each window in C, not in a Python loop
+    return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
 def ngram_table(tokens: Sequence[str]) -> tuple[Counter, ...]:
     """The 1-4-gram counts of `tokens`: index n - 1 holds the order-n counts."""
-    # `windows` for n = 1..4 (MAX_ORDER), each shifted copy sliced once
+    # `extract_ngrams` for n = 1..4 (MAX_ORDER), each shifted copy sliced once
     t1, t2, t3 = tokens[1:], tokens[2:], tokens[3:]
     return (
         Counter(zip(tokens)),

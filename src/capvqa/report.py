@@ -40,14 +40,8 @@ class ResultRow:
 
     def values(self) -> tuple[float, ...]:
         return (
-            self.internal.bleu4,
-            self.internal.meteor,
-            self.internal.rouge_l,
-            self.internal.cider,
-            self.external.bleu4,
-            self.external.meteor,
-            self.external.rouge_l,
-            self.external.cider,
+            *self.internal.as_dict().values(),
+            *self.external.as_dict().values(),
             self.acc,
             self.s2,
         )

@@ -8,19 +8,19 @@ through `forking.map_chunks`, the list of units, still raw caption text,
 is cut into one contiguous chunk per CPU, and the caller scores the
 first chunk and a forked child each other one. A chunk tokenizes the
 references of every split it scores and builds that split's TF-IDF
-statistics for the consensus metric from all of them, then tokenizes its
-own candidates and scores its units; a split that spans two chunks has
-its statistics built in both. The scores are reduced in a fixed sorted
-order. A unit's score depends only on the unit, its split's statistics
-and the config, and the children send their floats back bit for bit, so
-the output is byte-identical for any CPU count.
+statistics for the consensus metric from all of them; a split that spans
+two chunks has its statistics built in both. Each unit then tokenizes
+its own candidate in `_score_unit` and is scored against its tokenized
+reference. The scores are reduced in a fixed sorted order. A unit's
+score depends only on the unit, its split's statistics and the config,
+and the children send their floats back bit for bit, so the output is
+byte-identical for any CPU count.
 
 Missing units score against an empty candidate (which gives 0 on every
 metric); strict completeness checking lives in the CLI via
 `dataset_io.validate`.
 """
 
-import itertools
 import math
 from array import array
 from collections import Counter
@@ -40,20 +40,19 @@ from .cider import (
     similarity,
     tfidf_weights,
 )
-from .composite import SplitScores
+from .composite import METRIC_NAMES, SplitScores
 from .dataset_io import PHASES, SPLITS, ScenarioSet
 from .meteor import DEFAULT_PARAMS as DEFAULT_METEOR_PARAMS
 from .meteor import MeteorParams, meteor
 from .ngrams import MAX_ORDER, clipped_count, ngram_table
 from .rouge import rouge_l
-from .text_norm import DEFAULT_TOKENIZER, TokenizerConfig, tokenize
+from .text_norm import tokenize
 
 PERSPECTIVES = ("pedestrian", "vehicle")
 
 
 @dataclass(frozen=True)
 class ScoringConfig:
-    tokenizer: TokenizerConfig = DEFAULT_TOKENIZER
     bleu_zero_policy: str = "hard-zero"
     rouge_convention: str = "precision-ratio"
     meteor_params: MeteorParams = DEFAULT_METEOR_PARAMS
@@ -93,19 +92,13 @@ class CaptionScores:
 
 
 class _Unit(NamedTuple):
-    """One (scenario, phase, perspective) caption pair.
-
-    `_collect_units` holds both captions as raw text. A chunk hands
-    `_score_unit` the unit with token lists in their place and the
-    reference's `ngram_table`, which its split's IDF is built from too.
-    """
+    """One (scenario, phase, perspective) caption pair, both captions raw text."""
 
     scenario_id: str
     phase: str
     perspective: str
-    candidate: Sequence[str]
-    reference: Sequence[str]
-    reference_ngrams: tuple[Counter, ...] = ()
+    candidate: str
+    reference: str
 
 
 def _collect_units(gt: ScenarioSet, pred: ScenarioSet) -> dict[str, list[_Unit]]:
@@ -130,17 +123,26 @@ def _collect_units(gt: ScenarioSet, pred: ScenarioSet) -> dict[str, list[_Unit]]
 
 
 def _score_unit(
-    unit: _Unit, idf: CiderCorpusIdf, config: ScoringConfig
+    unit: _Unit,
+    reference: Sequence[str],
+    reference_table: tuple[Counter, ...],
+    idf: CiderCorpusIdf,
+    config: ScoringConfig,
 ) -> tuple[float, float, float, float]:
-    """The unit's scores, in `SegmentScore` field order (`_METRICS`)."""
-    candidate, reference = unit.candidate, unit.reference
+    """The unit's scores, in `SegmentScore` field order (`METRIC_NAMES`).
+
+    `reference` is the unit's reference caption tokenized, and
+    `reference_table` its `ngram_table`, which the split's IDF is built
+    from too. The candidate caption is tokenized here.
+    """
+    candidate = tokenize(unit.candidate)
     c, r = len(candidate), len(reference)
     sigma = config.cider_length_penalty_sigma
     penalty = length_penalty(c, r, None if sigma is None else length_penalty_spread(sigma))
     precisions, similarities = [], []
     # BLEU's clipped count and CIDEr's dot product both run over the grams
     # the two captions share, found once per order
-    orders = zip(range(1, MAX_ORDER + 1), ngram_table(candidate), unit.reference_ngrams)
+    orders = zip(range(1, MAX_ORDER + 1), ngram_table(candidate), reference_table)
     for n, cand, ref in orders:
         common = cand.keys() & ref.keys()
         matches = clipped_count(cand, ref, common)
@@ -171,58 +173,31 @@ def _mean(values: Sequence[float]) -> float:
 # 64 short units does 16-19 ms of work against 3-9 ms of fixed cost.
 MIN_CHUNK_UNITS = 64
 
-# Floats scored per unit, in `SegmentScore` field order.
-_METRICS = ("bleu4", "meteor", "rouge_l", "cider")
-
 
 def _score_chunk(
     positions: range, units_by_split: dict[str, list[_Unit]], config: ScoringConfig
 ) -> array:
-    """The `_METRICS` floats of the units at `positions`, unit after unit.
+    """The `METRIC_NAMES` floats of the units at `positions`, unit after unit.
 
     Positions count through the splits in `SPLITS` order. For each split
     the chunk reaches, it tokenizes all of that split's references, counts
     their n-grams and builds the split's IDF from those counts, then
-    tokenizes its own candidates and scores its own units of the split.
+    scores its own units of the split.
     """
     values = array("d")
     offset = 0
     for split in SPLITS:
         units = units_by_split[split]
-        start = max(positions.start - offset, 0)
-        stop = min(positions.stop - offset, len(units))
+        own = range(max(positions.start - offset, 0), min(positions.stop - offset, len(units)))
         offset += len(units)
-        if start >= stop:
+        if not own:
             continue
-        references = [tokenize(unit.reference, config.tokenizer) for unit in units]
+        references = [tokenize(unit.reference) for unit in units]
         tables = [ngram_table(reference) for reference in references]
         idf = idf_from_tables(tables)
-        own = zip(units[start:stop], references[start:stop], tables[start:stop])
-        for unit, reference, table in own:
-            candidate = tokenize(unit.candidate, config.tokenizer)
-            tokenized = _Unit(*unit[:3], candidate, reference, table)
-            values.extend(_score_unit(tokenized, idf, config))
+        for k in own:
+            values.extend(_score_unit(units[k], references[k], tables[k], idf, config))
     return values
-
-
-def _score_units(
-    units_by_split: dict[str, list[_Unit]], config: ScoringConfig
-) -> list[SegmentScore]:
-    """Score every unit, split after split, one contiguous chunk per CPU."""
-    units = [unit for split in SPLITS for unit in units_by_split[split]]
-    chunks = forking.map_chunks(
-        range(len(units)),
-        lambda positions: _score_chunk(positions, units_by_split, config),
-        "d",
-        lambda count: len(_METRICS) * count,
-        MIN_CHUNK_UNITS,
-    )
-    values = itertools.chain.from_iterable(chunks)
-    rows = zip(*[values] * len(_METRICS))  # one unit's floats per row
-    return [
-        SegmentScore(unit.scenario_id, unit.phase, unit.perspective, *row)
-        for unit, row in zip(units, rows)
-    ]
 
 
 def score_captions(
@@ -238,26 +213,33 @@ def score_captions(
     if not gt.scenarios:
         raise ValueError("ground truth has no scenarios to score")
     units_by_split = _collect_units(gt, pred)
-    all_segments = _score_units(units_by_split, config)
+    units = [unit for split in SPLITS for unit in units_by_split[split]]
+    width = len(METRIC_NAMES)  # floats per unit
+    values = array("d")
+    for chunk in forking.map_chunks(
+        range(len(units)),
+        lambda positions: _score_chunk(positions, units_by_split, config),
+        lambda count: width * count,
+        MIN_CHUNK_UNITS,
+    ):
+        values += chunk
 
     split_results: dict[str, SplitScores] = {}
     start = 0
     for split in SPLITS:
         count = len(units_by_split[split])
-        scored = all_segments[start : start + count]
-        start += count
-        split_results[split] = SplitScores(
-            split=split,
-            bleu4=_mean([s.bleu4 for s in scored]),
-            meteor=_mean([s.meteor for s in scored]),
-            rouge_l=_mean([s.rouge_l for s in scored]),
-            cider=_mean([s.cider for s in scored]),
-            segments=count // len(PERSPECTIVES),
-        )
+        stop = start + count
+        means = [_mean(values[width * start + m : width * stop : width]) for m in range(width)]
+        split_results[split] = SplitScores(split, *means, segments=count // len(PERSPECTIVES))
+        start = stop
+    rows = zip(*[iter(values)] * width)  # one unit's floats per row
     return CaptionScores(
         internal=split_results["internal"],
         external=split_results["external"],
-        segments=all_segments,
+        segments=[
+            SegmentScore(unit.scenario_id, unit.phase, unit.perspective, *row)
+            for unit, row in zip(units, rows)
+        ],
     )
 
 

@@ -244,7 +244,7 @@ def accuracy(
         return array("q", [correct])
 
     counts = forking.map_chunks(
-        range(len(items)), count_correct, "q", lambda size: 1, MIN_CHUNK_ANSWERS
+        range(len(items)), count_correct, lambda size: 1, MIN_CHUNK_ANSWERS
     )
     correct = sum([count[0] for count in counts])
     total = len(items)

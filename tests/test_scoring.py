@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import threading
@@ -55,8 +56,16 @@ def _assert_segments_equal_direct_metric_calls(gt, pred, config):
         split: compute_idf([[ref] for key, ref in references.items() if split_of[key[0]] == split])
         for split in ("internal", "external")
     }
-    segments = score_captions(gt, pred, config).segments
+    scores = score_captions(gt, pred, config)
+    segments = scores.segments
     assert len(segments) == len(references)
+    # each split's means are the exactly rounded sums of its segments' values
+    for split in (scores.internal, scores.external):
+        scored = [s for s in segments if split_of[s.scenario_id] == split.split]
+        assert split.segments == len(scored) // 2
+        for name, mean in split.as_dict().items():
+            values = [getattr(s, name) for s in scored]
+            assert mean == math.fsum(values) / len(values)
     for segment in segments:
         key = (segment.scenario_id, segment.phase, segment.perspective)
         candidate, reference = tokenize(captions.get(key, "")), references[key]
@@ -180,10 +189,10 @@ def test_a_failing_child_chunk_raises_in_the_caller_and_leaves_no_child(monkeypa
     last = max(s.id for s in gt.scenarios if s.split == "external")  # in the last chunk
     score_unit = scoring._score_unit
 
-    def failing(unit, idf, config):
+    def failing(unit, *args):
         if unit.scenario_id == last:
             raise ValueError(f"cannot score {last}")
-        return score_unit(unit, idf, config)
+        return score_unit(unit, *args)
 
     monkeypatch.setattr(forking, "_cpu_count", lambda: 2)
     monkeypatch.setattr(scoring, "_score_unit", failing)
@@ -199,10 +208,10 @@ def test_a_child_that_sends_short_data_is_rescored_by_the_caller(monkeypatch, fo
     expected = score_captions(gt, pred)
     caller, score_unit = os.getpid(), scoring._score_unit
 
-    def dying(unit, idf, config):
+    def dying(unit, *args):
         if os.getpid() != caller:
             os._exit(0)  # a clean exit before any float is written
-        return score_unit(unit, idf, config)
+        return score_unit(unit, *args)
 
     monkeypatch.setattr(forking, "_cpu_count", lambda: 3)
     monkeypatch.setattr(scoring, "_score_unit", dying)
@@ -215,10 +224,10 @@ def test_an_interrupted_caller_reaps_its_children(monkeypatch, forks):
     gt, pred = _generated_corpus()
     caller, score_unit = os.getpid(), scoring._score_unit
 
-    def interrupted(unit, idf, config):
+    def interrupted(unit, *args):
         if os.getpid() == caller:
             raise KeyboardInterrupt
-        return score_unit(unit, idf, config)
+        return score_unit(unit, *args)
 
     monkeypatch.setattr(forking, "_cpu_count", lambda: 3)
     monkeypatch.setattr(scoring, "_score_unit", interrupted)
