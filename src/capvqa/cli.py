@@ -16,14 +16,12 @@ standard conventions, and equal inputs produce byte-identical output.
 """
 
 import argparse
-import math
 import sys
 
 from . import composite, dataset_io, report, scoring, vqa
 from .bleu import ZERO_PRECISION_POLICIES
-from .cider import MAX_SCALE, length_penalty_spread
 from .errors import SchemaError, ValidationFailure
-from .meteor import MeteorParams
+from .meteor import DEFAULT_PARAMS, MeteorParams
 from .rouge import BETA_CONVENTIONS
 
 class _Parser(argparse.ArgumentParser):
@@ -33,50 +31,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _float_or_nan(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
+def _checked(build):
+    """argparse type: a float that `build(value)` accepts, its ValueError the flag's error."""
 
+    def parse(text: str) -> float:
+        value = float(text)
+        try:
+            build(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
-def _finite(text: str) -> float:
-    """argparse type for a flag that must be a finite number."""
-    value = _float_or_nan(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
-
-
-def _positive_finite(text: str) -> float:
-    """argparse type for a flag that must be a finite number above zero."""
-    value = _float_or_nan(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
-
-
-def _cider_scale(text: str) -> float:
-    """argparse type for --cider-scale: above zero, and small enough that means stay finite."""
-    value = _positive_finite(text)
-    if value > MAX_SCALE:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_SCALE:g}, so split means and Cap_Score stay finite, "
-            f"got {text!r}"
-        )
-    return value
-
-
-def _length_penalty_sigma(text: str) -> float:
-    """argparse type for --cider-length-penalty-sigma: its square must be finite and > 0."""
-    value = _positive_finite(text)
-    try:
-        length_penalty_spread(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a number whose square is finite and > 0, got {text!r}"
-        ) from None
-    return value
+    # argparse names this in its own message for unparsable text: "invalid float value"
+    parse.__name__ = "float"
+    return parse
 
 
 def _add_caption_flags(parser: argparse.ArgumentParser):
@@ -85,28 +53,31 @@ def _add_caption_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--bleu-zero-policy",
         choices=ZERO_PRECISION_POLICIES,
-        default="hard-zero",
+        default=scoring.DEFAULT_CONFIG.bleu_zero_policy,
         help="how BLEU handles a zero n-gram precision (default: %(default)s)",
     )
     parser.add_argument(
         "--rouge-convention",
         choices=BETA_CONVENTIONS,
-        default="precision-ratio",
+        default=scoring.DEFAULT_CONFIG.rouge_convention,
         help="ROUGE-L beta convention (default: %(default)s)",
     )
-    parser.add_argument("--meteor-alpha", type=_finite, default=0.9)
-    parser.add_argument("--meteor-beta", type=_finite, default=3.0)
-    parser.add_argument("--meteor-gamma", type=_finite, default=0.5)
+    for name in ("alpha", "beta", "gamma"):
+        parser.add_argument(
+            f"--meteor-{name}",
+            type=_checked(lambda value, name=name: MeteorParams(**{name: value})),
+            default=getattr(DEFAULT_PARAMS, name),
+        )
     parser.add_argument(
         "--cider-scale",
-        type=_cider_scale,
-        default=10.0,
+        type=_checked(lambda value: scoring.ScoringConfig(cider_scale=value)),
+        default=scoring.DEFAULT_CONFIG.cider_scale,
         help="display scale applied to the consensus metric (default: %(default)s)",
     )
     parser.add_argument(
         "--cider-length-penalty-sigma",
-        type=_length_penalty_sigma,
-        default=None,
+        type=_checked(lambda value: scoring.ScoringConfig(cider_length_penalty_sigma=value)),
+        default=scoring.DEFAULT_CONFIG.cider_length_penalty_sigma,
         help="enable the Gaussian length penalty variant with this sigma",
     )
     parser.add_argument(
@@ -204,9 +175,6 @@ def cmd_score_vqa(args) -> int:
 def cmd_score_all(args) -> int:
     if args.acc is None and not (args.gt_vqa and args.pred_vqa):
         raise ValueError("score-all needs --gt-vqa and --pred-vqa, or an --acc override")
-    # checked here, not in argparse, so a bad --acc exits 2 through main before any input is read
-    if args.acc is not None and not 0.0 <= args.acc <= 1.0:
-        raise ValueError(f"--acc must be a finite fraction in [0, 1], got {args.acc}")
     gt, caption_scores = _score_caption_files(args)
     if args.acc is not None:
         acc = args.acc
@@ -265,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default="run", help="row label for the report")
     p.add_argument(
         "--acc",
-        type=float,
+        type=_checked(lambda value: composite.s2(0.0, value)),
         default=None,
         help="override VQA accuracy with a known fraction in [0, 1]",
     )

@@ -15,16 +15,12 @@ from .vqa import AccuracyResult
 
 FORMATS = ("markdown", "csv", "json")
 
+# display names of composite.METRIC_NAMES, in that order
+METRIC_LABELS = ("BLEU-4", "METEOR", "ROUGE-L", "CIDEr")
+
 TABLE_COLUMNS = (
     "Model",
-    "BLEU-4_i",
-    "METEOR_i",
-    "ROUGE-L_i",
-    "CIDEr_i",
-    "BLEU-4_e",
-    "METEOR_e",
-    "ROUGE-L_e",
-    "CIDEr_e",
+    *(f"{label}_{split}" for split in "ie" for label in METRIC_LABELS),
     "Acc",
     "S2",
 )
@@ -159,7 +155,7 @@ def render_split_table(splits: Sequence[SplitScores], format: str = "markdown") 
     """Per-split caption metrics (one row per split)."""
     return _render(
         format,
-        ("Split", "BLEU-4", "METEOR", "ROUGE-L", "CIDEr"),
+        ("Split", *METRIC_LABELS),
         [[s.split] + [_fmt(v) for v in s.as_dict().values()] for s in splits],
         [dict(split=s.split, segments=s.segments, **s.as_dict()) for s in splits],
     )

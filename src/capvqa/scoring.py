@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 from . import forking
-from .bleu import bleu_score, brevity_penalty, modified_precision
+from .bleu import ZERO_PRECISION_POLICIES, bleu_score, brevity_penalty, modified_precision
 from .cider import (
     DEFAULT_SCALE,
     MAX_SCALE,
@@ -45,7 +45,7 @@ from .dataset_io import PHASES, SPLITS, ScenarioSet
 from .meteor import DEFAULT_PARAMS as DEFAULT_METEOR_PARAMS
 from .meteor import MeteorParams, meteor
 from .ngrams import MAX_ORDER, clipped_count, ngram_table
-from .rouge import rouge_l
+from .rouge import BETA_CONVENTIONS, rouge_l
 from .text_norm import tokenize
 
 PERSPECTIVES = ("pedestrian", "vehicle")
@@ -60,6 +60,13 @@ class ScoringConfig:
     cider_length_penalty_sigma: float | None = None
 
     def __post_init__(self):
+        for name, allowed in (
+            ("bleu_zero_policy", ZERO_PRECISION_POLICIES),
+            ("rouge_convention", BETA_CONVENTIONS),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         # NaN fails the comparison and infinity the bound
         if not 0.0 < self.cider_scale <= MAX_SCALE:
             raise ValueError(

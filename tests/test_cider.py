@@ -174,18 +174,13 @@ _REFERENCE_SETS = st.lists(
 @given(_REFERENCE_SETS)
 def test_idf_tables_match_per_set_update_reference(corpus):
     # an empty reference set has no grams but is still a document
+    expected = (len(corpus), oracles.compute_idf_reference(corpus))
     idf = compute_idf(corpus)
-    assert (idf.num_docs, idf.df) == (len(corpus), oracles.compute_idf_reference(corpus))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(st.sampled_from("abcde"), max_size=8), min_size=1, max_size=6))
-def test_idf_from_tables_equals_compute_idf_of_one_reference_sets(references):
-    # score_captions builds a split's IDF from the reference tables it scores with
-    expected = compute_idf([[reference] for reference in references])
-    got = idf_from_tables([ngram_table(reference) for reference in references])
-    assert (got.num_docs, got.df) == (expected.num_docs, expected.df)
-    assert got.log_idf == expected.log_idf
+    assert (idf.num_docs, idf.df) == expected
+    if all(len(references) == 1 for references in corpus):
+        # score_captions builds a split's IDF from its one-reference tables
+        got = idf_from_tables([ngram_table(references[0]) for references in corpus])
+        assert (got.num_docs, got.df) == expected
 
 
 def test_idf_from_tables_rejects_an_empty_corpus():

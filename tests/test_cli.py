@@ -303,24 +303,42 @@ def test_acc_override_skips_vqa_files(fixtures_dir, capsys):
 
 
 def test_acc_override_out_of_range_exits_2(fixtures_dir, capsys):
-    code = cli.main([
-        "score-all", *_fixture_args(fixtures_dir), "--acc", "1.5",
-    ])
-    assert code == 2
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["score-all", *_fixture_args(fixtures_dir), "--acc", "1.5"])
+    assert exit_info.value.code == 2
     assert "acc" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "2"])
-def test_acc_override_checked_before_inputs_are_read(tmp_path, capsys, value):
-    code = cli.main([
-        "score-all",
-        "--gt-captions", str(tmp_path / "missing.json"),
-        "--pred-captions", str(tmp_path / "missing.json"),
-        "--acc", value,
-    ])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        f"error: --acc must be a finite fraction in [0, 1], got {float(value)}\n"
+@pytest.mark.parametrize(
+    "flag, value, rule",
+    [
+        pytest.param("--acc", "nan", "acc must be a fraction in [0, 1]", id="nan"),
+        pytest.param("--acc", "2", "acc must be a fraction in [0, 1]", id="2"),
+        pytest.param("--meteor-beta", "0", "beta must be a finite number > 0", id="meteor-beta"),
+        pytest.param("--meteor-gamma", "2", "gamma must be in [0, 1]", id="meteor-gamma"),
+        pytest.param(
+            "--cider-scale", "0", "cider_scale must be a number > 0 and at most 1e+300",
+            id="cider-scale",
+        ),
+        pytest.param(
+            "--cider-length-penalty-sigma", "1e-200",
+            "cider_length_penalty_sigma must be a number > 0 whose square is finite and > 0",
+            id="cider-length-penalty-sigma",
+        ),
+    ],
+)
+def test_acc_override_checked_before_inputs_are_read(tmp_path, capsys, flag, value, rule):
+    # every scoring flag is checked while parsing, so a bad one wins over missing files
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([
+            "score-all",
+            "--gt-captions", str(tmp_path / "missing.json"),
+            "--pred-captions", str(tmp_path / "missing.json"),
+            flag, value,
+        ])
+    assert exit_info.value.code == 2
+    assert _stderr_line(capsys) == (
+        f"capvqa score-all: error: argument {flag}: {rule}, got {float(value)!r}\n"
     )
 
 
@@ -401,25 +419,28 @@ def test_workers_env_variable_is_not_read(fixtures_dir, capsys, monkeypatch):
     assert capsys.readouterr().out == golden
 
 
-@pytest.mark.parametrize(
-    "flag, value",
-    [
-        ("--cider-length-penalty-sigma", "0"),
-        ("--cider-length-penalty-sigma", "-2"),
-        ("--cider-length-penalty-sigma", "inf"),
-        ("--cider-scale", "nan"),
-        ("--cider-scale", "0"),
-        ("--cider-scale", "ten"),
-    ],
-)
+_CIDER_FLAG_ERRORS = {
+    ("--cider-length-penalty-sigma", "0"):
+        "cider_length_penalty_sigma must be a number > 0 whose square is finite and > 0, got 0.0",
+    ("--cider-length-penalty-sigma", "-2"):
+        "cider_length_penalty_sigma must be a number > 0 whose square is finite and > 0, got -2.0",
+    ("--cider-length-penalty-sigma", "inf"):
+        "cider_length_penalty_sigma must be a number > 0 whose square is finite and > 0, got inf",
+    ("--cider-scale", "nan"): "cider_scale must be a number > 0 and at most 1e+300, got nan",
+    ("--cider-scale", "0"): "cider_scale must be a number > 0 and at most 1e+300, got 0.0",
+    ("--cider-scale", "ten"): "invalid float value: 'ten'",
+}
+
+
+@pytest.mark.parametrize("flag, value", list(_CIDER_FLAG_ERRORS))
 def test_cider_flags_must_be_finite_and_positive(fixtures_dir, capsys, flag, value):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(_score_all_args(fixtures_dir, flag, value))
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.endswith(
-        f"error: argument {flag}: must be a finite number > 0, got {value!r}\n"
+    assert captured.err == (
+        f"capvqa score-all: error: argument {flag}: {_CIDER_FLAG_ERRORS[flag, value]}\n"
     )
     assert "Traceback" not in captured.err
 
@@ -560,7 +581,7 @@ def _stderr_line(capsys) -> str:
         (
             ["score-captions", "--gt-captions", "g", "--pred-captions", "p", "--cider-scale", "nan"],
             "capvqa score-captions: error: argument --cider-scale: "
-            "must be a finite number > 0, got 'nan'\n",
+            "cider_scale must be a number > 0 and at most 1e+300, got nan\n",
         ),
         (
             ["score-vqa", "--gt-vqa", "gold.json"],
@@ -581,20 +602,33 @@ def test_argument_rejections_are_one_line(capsys, argv, message):
     assert _stderr_line(capsys).startswith(message)
 
 
-@pytest.mark.parametrize("flag", ["--meteor-alpha", "--meteor-beta", "--meteor-gamma"])
+_METEOR_RULES = {
+    "--meteor-alpha": "alpha must be in (0, 1)",
+    "--meteor-beta": "beta must be a finite number > 0",
+    "--meteor-gamma": "gamma must be in [0, 1]",
+}
+
+
+@pytest.mark.parametrize("flag", list(_METEOR_RULES))
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "high"])
 def test_meteor_flags_must_be_finite(fixtures_dir, capsys, flag, value):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(_score_all_args(fixtures_dir, "--format", "json", f"{flag}={value}"))
     assert exit_info.value.code == 2
-    assert _stderr_line(capsys) == (
-        f"capvqa score-all: error: argument {flag}: must be a finite number, got {value!r}\n"
+    expected = "invalid float value: 'high'" if value == "high" else (
+        f"{_METEOR_RULES[flag]}, got {value}"
     )
+    assert _stderr_line(capsys) == f"capvqa score-all: error: argument {flag}: {expected}\n"
 
 
 def test_meteor_beta_out_of_range_exits_2(fixtures_dir, capsys):
-    assert cli.main(_score_all_args(fixtures_dir, "--meteor-beta", "0")) == 2
-    assert _stderr_line(capsys) == "error: beta must be a finite number > 0, got 0.0\n"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(_score_all_args(fixtures_dir, "--meteor-beta", "0"))
+    assert exit_info.value.code == 2
+    assert _stderr_line(capsys) == (
+        "capvqa score-all: error: argument --meteor-beta: beta must be a finite number > 0, "
+        "got 0.0\n"
+    )
 
 
 def test_ground_truth_without_scenarios_exits_2(tmp_path, fixtures_dir, capsys):
@@ -616,7 +650,8 @@ def test_length_penalty_sigma_whose_square_is_not_finite_and_positive_exits_2(
     assert exit_info.value.code == 2
     assert _stderr_line(capsys) == (
         "capvqa score-all: error: argument --cider-length-penalty-sigma: "
-        f"must be a number whose square is finite and > 0, got {value!r}\n"
+        "cider_length_penalty_sigma must be a number > 0 whose square is finite and > 0, "
+        f"got {float(value)!r}\n"
     )
 
 
@@ -628,8 +663,8 @@ def test_cider_scale_too_large_for_finite_means_exits_2(fixtures_dir, capsys, va
         cli.main(_score_all_args(fixtures_dir, "--format", format, "--cider-scale", value))
     assert exit_info.value.code == 2
     assert _stderr_line(capsys) == (
-        "capvqa score-all: error: argument --cider-scale: must be at most 1e+300, "
-        f"so split means and Cap_Score stay finite, got {value!r}\n"
+        "capvqa score-all: error: argument --cider-scale: "
+        f"cider_scale must be a number > 0 and at most 1e+300, got {float(value)!r}\n"
     )
 
 

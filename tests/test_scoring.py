@@ -101,6 +101,20 @@ def test_config_rejects_non_finite_or_non_positive_cider_values(field, value):
         ScoringConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bleu_zero_policy", "Epsilon"),
+        ("bleu_zero_policy", ""),
+        ("rouge_convention", "recall"),
+        ("rouge_convention", None),
+    ],
+)
+def test_config_rejects_unknown_policies(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be one of"):
+        ScoringConfig(**{field: value})
+
+
 def test_config_accepts_positive_cider_values_and_no_sigma():
     config = ScoringConfig(cider_scale=0.5, cider_length_penalty_sigma=None)
     assert (config.cider_scale, config.cider_length_penalty_sigma) == (0.5, None)
