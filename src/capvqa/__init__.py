@@ -6,7 +6,7 @@ and log-likelihood arithmetic behind the models being scored.
 """
 
 from .bleu import BleuBreakdown, bleu4
-from .cider import CiderBreakdown, CiderCorpusIdf, cider, compute_idf, tfidf_vector
+from .cider import CiderBreakdown, CiderCorpusIdf, cider, compute_idf
 from .composite import FinalScore, SplitScores, aggregate_splits, cap_score, s2
 from .dataset_io import (
     ScenarioSet,
@@ -91,7 +91,6 @@ __all__ = [
     "rouge_l",
     "s2",
     "score_captions",
-    "tfidf_vector",
     "tokenize",
     "validate",
     "vqa_nll",

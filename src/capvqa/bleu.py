@@ -10,8 +10,7 @@ comparisons with smoothing scorers.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ngrams import MAX_ORDER, clipped_matches, ngram_table
 
@@ -19,8 +18,7 @@ ZERO_PRECISION_POLICIES = ("hard-zero", "epsilon")
 EPSILON_FLOOR = 1e-9
 
 
-@dataclass
-class BleuBreakdown:
+class BleuBreakdown(NamedTuple):
     precisions: tuple[float, float, float, float]
     brevity_penalty: float
     score: float

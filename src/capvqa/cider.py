@@ -18,11 +18,11 @@ evaluation corpus once, then score any number of candidates against it.
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .ngrams import MAX_ORDER, extract_ngrams, ngram_table
+from .ngrams import MAX_ORDER, ngram_table
+from .records import Frozen
 
 DEFAULT_SCALE = 10.0
 # The largest scale a corpus run accepts. A unit's score is at most the
@@ -32,24 +32,23 @@ DEFAULT_SCALE = 10.0
 MAX_SCALE = 1e300
 
 
-@dataclass(frozen=True)
-class CiderCorpusIdf:
+class CiderCorpusIdf(Frozen):
     """Reference-set document frequencies for one evaluation corpus."""
 
-    num_docs: int
-    df: Mapping[int, Mapping[tuple, int]] = field(repr=False)
-    # ln(num_docs / df) per distinct df value, computed once, not per lookup
-    log_idf: Mapping[int, float] = field(init=False, repr=False, compare=False)
+    __slots__ = ("num_docs", "df", "log_idf")
+    _fields = ("num_docs", "df")
 
-    def __post_init__(self):
-        values = {1}.union(*(order.values() for order in self.df.values()))
-        object.__setattr__(
-            self, "log_idf", {df: math.log(self.num_docs / df) for df in values}
-        )
+    def __init__(self, num_docs: int, df: Mapping[int, Mapping[tuple, int]]):
+        values = {1}.union(*(order.values() for order in df.values()))
+        # ln(num_docs / df) per distinct df value, computed once, not per lookup
+        log_idf = {count: math.log(num_docs / count) for count in values}
+        self._set(num_docs=num_docs, df=df, log_idf=log_idf)
+
+    def __repr__(self) -> str:
+        return f"CiderCorpusIdf(num_docs={self.num_docs!r})"
 
 
-@dataclass
-class CiderBreakdown:
+class CiderBreakdown(NamedTuple):
     per_n: tuple[float, float, float, float]
     score: float
 
@@ -102,11 +101,6 @@ def tfidf_weights(counts: Mapping[tuple, int], n: int, idf: CiderCorpusIdf) -> d
     }
 
 
-def tfidf_vector(tokens: Sequence[str], n: int, idf: CiderCorpusIdf) -> dict[tuple, float]:
-    """Sparse TF-IDF vector over the order-n n-grams of one caption."""
-    return tfidf_weights(extract_ngrams(tokens, n), n, idf)
-
-
 def _cosine(a: Mapping[tuple, float], b: Mapping[tuple, float], common: Iterable[tuple]) -> float:
     """Cosine of `a` and `b`, whose shared keys are `common`."""
     # zero vectors (empty captions, single-document corpora) score 0
@@ -133,6 +127,13 @@ def similarity(
     """
     # rounding can lift the cosine of equal vectors an ulp above 1
     return min(_cosine(cand_vec, ref_vec, common), 1.0) * penalty
+
+
+def check_scale(scale: float, name: str = "scale") -> None:
+    """ValueError unless 0 < scale <= `MAX_SCALE`, the scales a corpus run accepts."""
+    # NaN fails the comparison and infinity the bound
+    if not 0.0 < scale <= MAX_SCALE:
+        raise ValueError(f"{name} must be a number > 0 and at most {MAX_SCALE:g}, got {scale!r}")
 
 
 def length_penalty_spread(sigma: float, name: str = "length_penalty_sigma") -> float:
@@ -181,8 +182,7 @@ def cider(
     """
     if not references:
         raise ValueError("cider requires at least one reference")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be a finite number > 0, got {scale}")
+    check_scale(scale)
     spread = None
     if length_penalty_sigma is not None:
         spread = length_penalty_spread(length_penalty_sigma)

@@ -6,14 +6,13 @@ Percent is strictly a rendering concern; `FinalScore.as_percent` is the
 same numbers times 100, nothing else.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 METRIC_NAMES = ("bleu4", "meteor", "rouge_l", "cider")
 AGGREGATION_MODES = ("mean", "segment-weighted")
 
 
-@dataclass(frozen=True)
-class SplitScores:
+class SplitScores(NamedTuple):
     """Mean per-segment metric values for one dataset split."""
 
     split: str
@@ -27,8 +26,7 @@ class SplitScores:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
-@dataclass(frozen=True)
-class FinalScore:
+class FinalScore(NamedTuple):
     cap_score: float
     acc: float
     s2: float

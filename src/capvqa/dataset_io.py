@@ -1,4 +1,4 @@
-"""Loaders, validators and serializers for the on-disk JSON formats.
+"""Loaders and validators for the on-disk JSON formats.
 
 Caption ground truth:
 
@@ -22,9 +22,8 @@ by `validate`, so partial submissions can still be inspected.
 import contextlib
 import gc
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import SchemaError
 from .vqa import VqaItem, VqaPrediction
@@ -37,22 +36,19 @@ _VqaItem, _VqaPrediction = VqaItem, VqaPrediction
 _RECORD_TYPES = (VqaItem, VqaPrediction)
 
 
-@dataclass
-class Segment:
+class Segment(NamedTuple):
     phase: str
     pedestrian_caption: str
     vehicle_caption: str
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     id: str
     segments: list[Segment]
     split: str | None = None
 
 
-@dataclass
-class ScenarioSet:
+class ScenarioSet(NamedTuple):
     scenarios: list[Scenario]
 
     def segment_keys(self) -> set[tuple[str, str]]:
@@ -67,10 +63,10 @@ class ScenarioSet:
         return sum(len(scenario.segments) for scenario in self.scenarios)
 
 
-@dataclass
-class ValidationReport:
-    missing_segments: list[tuple[str, str]] = field(default_factory=list)
-    extra_segments: list[tuple[str, str]] = field(default_factory=list)
+class ValidationReport(NamedTuple):
+    # every report built without them shares these two empty lists
+    missing_segments: list[tuple[str, str]] = []
+    extra_segments: list[tuple[str, str]] = []
 
     def is_empty(self) -> bool:
         return not (self.missing_segments or self.extra_segments)
@@ -187,25 +183,6 @@ def load_ground_truth(path) -> ScenarioSet:
 def load_predictions(path) -> ScenarioSet:
     """Load and schema-check a caption submission file; every split is None."""
     return ScenarioSet(scenarios=_parse_scenarios(_load_json(path), path, with_split=False))
-
-
-def scenario_set_to_dict(scenario_set: ScenarioSet) -> dict:
-    """Inverse of the loaders; load(dump(x)) round-trips to an equal value."""
-    scenarios = []
-    for scenario in scenario_set.scenarios:
-        record: dict[str, Any] = {"id": scenario.id}
-        if scenario.split is not None:
-            record["split"] = scenario.split
-        record["segments"] = [
-            {
-                "phase": segment.phase,
-                "pedestrian_caption": segment.pedestrian_caption,
-                "vehicle_caption": segment.vehicle_caption,
-            }
-            for segment in scenario.segments
-        ]
-        scenarios.append(record)
-    return {"scenarios": scenarios}
 
 
 def validate(gt: ScenarioSet, pred: ScenarioSet) -> ValidationReport:

@@ -36,44 +36,41 @@ recursion limit.
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+from .records import Frozen
 
 # Search nodes (steps of the exact search) one pair may spend; no pair of the
 # benchmark workloads or fixtures needs more than a few hundred.
 NODE_BUDGET = 10_000
 
 
-@dataclass(frozen=True)
-class MeteorParams:
-    alpha: float = 0.9
-    beta: float = 3.0
-    gamma: float = 0.5
+class MeteorParams(Frozen):
+    __slots__ = _fields = ("alpha", "beta", "gamma")
 
-    def __post_init__(self):
+    def __init__(self, alpha: float = 0.9, beta: float = 3.0, gamma: float = 0.5):
         # the bounded alpha and gamma ranges already exclude NaN and infinities
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not math.isfinite(self.beta) or self.beta <= 0.0:
-            raise ValueError(f"beta must be a finite number > 0, got {self.beta}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        if not math.isfinite(beta) or beta <= 0.0:
+            raise ValueError(f"beta must be a finite number > 0, got {beta}")
+        if not 0.0 <= gamma <= 1.0:
+            raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+        self._set(alpha=alpha, beta=beta, gamma=gamma)
 
 
 DEFAULT_PARAMS = MeteorParams()
 
 
-@dataclass
-class MeteorAlignment:
+class MeteorAlignment(NamedTuple):
     matches: int      # matched unigram occurrences (m)
     chunks: int       # contiguous matched chunks (ch); 0 iff m == 0
     candidate_len: int
     reference_len: int
 
 
-@dataclass
-class MeteorBreakdown:
+class MeteorBreakdown(NamedTuple):
     precision: float
     recall: float
     f_mean: float

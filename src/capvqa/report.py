@@ -7,8 +7,7 @@ function of its inputs: equal inputs give byte-identical documents.
 """
 
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .composite import FinalScore, SplitScores
 from .vqa import AccuracyResult
@@ -26,8 +25,7 @@ TABLE_COLUMNS = (
 )
 
 
-@dataclass
-class ResultRow:
+class ResultRow(NamedTuple):
     label: str
     internal: SplitScores
     external: SplitScores
@@ -161,8 +159,7 @@ def render_split_table(splits: Sequence[SplitScores], format: str = "markdown") 
     )
 
 
-@dataclass
-class RankedEntry:
+class RankedEntry(NamedTuple):
     rank: int
     name: str
     s2: float

@@ -10,15 +10,13 @@ convention where beta is a large constant and the score reduces to
 recall.
 """
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 BETA_CONVENTIONS = ("precision-ratio", "recall-weighted")
 RECALL_WEIGHTED_BETA = 1e6
 
 
-@dataclass
-class RougeBreakdown:
+class RougeBreakdown(NamedTuple):
     lcs: int
     recall: float
     precision: float

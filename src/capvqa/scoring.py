@@ -24,15 +24,14 @@ metric); strict completeness checking lives in the CLI via
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 from . import forking
 from .bleu import ZERO_PRECISION_POLICIES, bleu_score, brevity_penalty, modified_precision
 from .cider import (
     DEFAULT_SCALE,
-    MAX_SCALE,
     CiderCorpusIdf,
+    check_scale,
     cider_score,
     idf_from_tables,
     length_penalty,
@@ -45,43 +44,47 @@ from .dataset_io import PHASES, SPLITS, ScenarioSet
 from .meteor import DEFAULT_PARAMS as DEFAULT_METEOR_PARAMS
 from .meteor import MeteorParams, meteor
 from .ngrams import MAX_ORDER, clipped_count, ngram_table
+from .records import Frozen
 from .rouge import BETA_CONVENTIONS, rouge_l
 from .text_norm import tokenize
 
 PERSPECTIVES = ("pedestrian", "vehicle")
 
 
-@dataclass(frozen=True)
-class ScoringConfig:
-    bleu_zero_policy: str = "hard-zero"
-    rouge_convention: str = "precision-ratio"
-    meteor_params: MeteorParams = DEFAULT_METEOR_PARAMS
-    cider_scale: float = DEFAULT_SCALE
-    cider_length_penalty_sigma: float | None = None
+class ScoringConfig(Frozen):
+    __slots__ = _fields = (
+        "bleu_zero_policy", "rouge_convention", "meteor_params", "cider_scale",
+        "cider_length_penalty_sigma",
+    )
 
-    def __post_init__(self):
-        for name, allowed in (
-            ("bleu_zero_policy", ZERO_PRECISION_POLICIES),
-            ("rouge_convention", BETA_CONVENTIONS),
+    def __init__(
+        self,
+        bleu_zero_policy: str = "hard-zero",
+        rouge_convention: str = "precision-ratio",
+        meteor_params: MeteorParams = DEFAULT_METEOR_PARAMS,
+        cider_scale: float = DEFAULT_SCALE,
+        cider_length_penalty_sigma: float | None = None,
+    ):
+        for name, value, allowed in (
+            ("bleu_zero_policy", bleu_zero_policy, ZERO_PRECISION_POLICIES),
+            ("rouge_convention", rouge_convention, BETA_CONVENTIONS),
         ):
-            value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-        # NaN fails the comparison and infinity the bound
-        if not 0.0 < self.cider_scale <= MAX_SCALE:
-            raise ValueError(
-                f"cider_scale must be a number > 0 and at most {MAX_SCALE:g}, "
-                f"got {self.cider_scale!r}"
-            )
-        if self.cider_length_penalty_sigma is not None:
-            length_penalty_spread(self.cider_length_penalty_sigma, "cider_length_penalty_sigma")
+        check_scale(cider_scale, "cider_scale")
+        if cider_length_penalty_sigma is not None:
+            length_penalty_spread(cider_length_penalty_sigma, "cider_length_penalty_sigma")
+        self._set(
+            bleu_zero_policy=bleu_zero_policy, rouge_convention=rouge_convention,
+            meteor_params=meteor_params, cider_scale=cider_scale,
+            cider_length_penalty_sigma=cider_length_penalty_sigma,
+        )
 
 
 DEFAULT_CONFIG = ScoringConfig()
 
 
-@dataclass(frozen=True)
-class SegmentScore:
+class SegmentScore(NamedTuple):
     scenario_id: str
     phase: str
     perspective: str
@@ -91,11 +94,10 @@ class SegmentScore:
     cider: float
 
 
-@dataclass
-class CaptionScores:
+class CaptionScores(NamedTuple):
     internal: SplitScores
     external: SplitScores
-    segments: list[SegmentScore] = field(default_factory=list)
+    segments: list[SegmentScore]
 
 
 class _Unit(NamedTuple):
@@ -248,9 +250,3 @@ def score_captions(
             for unit, row in zip(units, rows)
         ],
     )
-
-
-def identity_scores(gt: ScenarioSet, config: ScoringConfig = DEFAULT_CONFIG) -> CaptionScores:
-    """Score the ground truth against itself (upper-bound sanity check)."""
-    as_predictions = ScenarioSet(scenarios=[replace(s, split=None) for s in gt.scenarios])
-    return score_captions(gt, as_predictions, config)

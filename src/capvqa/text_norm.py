@@ -7,7 +7,7 @@ lemmatization, no Unicode normalization beyond treating any whitespace
 codepoint as a separator.
 """
 
-from dataclasses import dataclass
+from .records import Frozen
 
 # Punctuation handled by the tokenizer. Anything else is kept as part of
 # the surrounding word.
@@ -19,8 +19,7 @@ _STRIP_TABLE = str.maketrans("", "", PUNCTUATION)
 PUNCTUATION_POLICIES = ("separate", "strip")
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
+class TokenizerConfig(Frozen):
     """How raw captions are turned into tokens.
 
     `separate` splits punctuation into standalone tokens; `strip` deletes
@@ -28,15 +27,15 @@ class TokenizerConfig:
     scorers whose convention is unknown.
     """
 
-    lowercase: bool = True
-    punctuation_policy: str = "separate"
+    __slots__ = _fields = ("lowercase", "punctuation_policy")
 
-    def __post_init__(self):
-        if self.punctuation_policy not in PUNCTUATION_POLICIES:
+    def __init__(self, lowercase: bool = True, punctuation_policy: str = "separate"):
+        if punctuation_policy not in PUNCTUATION_POLICIES:
             raise ValueError(
                 f"punctuation_policy must be one of {PUNCTUATION_POLICIES}, "
-                f"got {self.punctuation_policy!r}"
+                f"got {punctuation_policy!r}"
             )
+        self._set(lowercase=lowercase, punctuation_policy=punctuation_policy)
 
 
 DEFAULT_TOKENIZER = TokenizerConfig()

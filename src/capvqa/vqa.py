@@ -17,12 +17,12 @@ fraction so correct == acc * total holds without rounding games.
 import re
 import string
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NoReturn, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 from . import forking
 from .errors import SchemaError, ValidationFailure
+from .records import Record
 from .text_norm import PUNCTUATION
 
 NO_ANSWER = None
@@ -88,44 +88,36 @@ def _normalize_many(texts: Sequence[str]) -> tuple[str, ...]:
     return tuple([" ".join(part.split()) for part in parts])
 
 
-@dataclass(slots=True)
-class VqaItem:
-    id: str
-    segment_id: str
-    question: str
-    options: list[str]
-    gold: int
-    # The normalized options joined by "\n": one object, not a tuple of n
-    # strings. Normalized text holds no whitespace but single spaces, so
-    # splitting it on "\n" gives back exactly the n options.
-    _normalized_options: str = field(init=False, repr=False)
+class VqaItem(Record):
+    __slots__ = ("id", "segment_id", "question", "options", "gold", "_normalized_options")
+    _fields = __slots__[:-1]  # all but the derived slot
 
-    def __post_init__(self):
-        if len(self.options) < 2:
+    def __init__(self, id: str, segment_id: str, question: str, options: list[str], gold: int):
+        if len(options) < 2:
+            raise SchemaError(f"question {id!r} needs at least 2 options, got {len(options)}")
+        if not 0 <= gold < len(options):
             raise SchemaError(
-                f"question {self.id!r} needs at least 2 options, got {len(self.options)}"
+                f"question {id!r} gold index {gold} is outside [0, {len(options)})"
             )
-        if not 0 <= self.gold < len(self.options):
-            raise SchemaError(
-                f"question {self.id!r} gold index {self.gold} is outside "
-                f"[0, {len(self.options)})"
-            )
-        normalized = _normalize_many(self.options)
+        normalized = _normalize_many(options)
         if len(set(normalized)) != len(normalized):
-            raise SchemaError(
-                f"question {self.id!r} has options that collide after normalization"
-            )
+            raise SchemaError(f"question {id!r} has options that collide after normalization")
+        self.id, self.segment_id, self.question = id, segment_id, question
+        self.options, self.gold = options, gold
+        # The normalized options joined by "\n": one object, not a tuple of n
+        # strings. Normalized text holds no whitespace but single spaces, so
+        # splitting it on "\n" gives back exactly the n options.
         self._normalized_options = "\n".join(normalized)
 
 
-@dataclass(slots=True)
-class VqaPrediction:
-    id: str
-    raw: str
+class VqaPrediction(Record):
+    __slots__ = _fields = ("id", "raw")
+
+    def __init__(self, id: str, raw: str):
+        self.id, self.raw = id, raw
 
 
-@dataclass
-class AccuracyResult:
+class AccuracyResult(NamedTuple):
     total: int
     correct: int
     acc: Fraction

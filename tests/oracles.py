@@ -350,3 +350,26 @@ def _is_sublist(needle, haystack):
     return any(
         haystack[i : i + span] == needle for i in range(len(haystack) - span + 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# caption files
+
+
+def scenario_set_to_dict(scenario_set):
+    """The caption file a loader reads back as `scenario_set`, from its attributes."""
+    scenarios = []
+    for scenario in scenario_set.scenarios:
+        record = {"id": scenario.id}
+        if scenario.split is not None:
+            record["split"] = scenario.split
+        record["segments"] = [
+            {
+                "phase": segment.phase,
+                "pedestrian_caption": segment.pedestrian_caption,
+                "vehicle_caption": segment.vehicle_caption,
+            }
+            for segment in scenario.segments
+        ]
+        scenarios.append(record)
+    return {"scenarios": scenarios}

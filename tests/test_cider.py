@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from capvqa.cider import _cosine, cider, compute_idf, idf_from_tables, tfidf_vector
-from capvqa.ngrams import ngram_table
+from capvqa.cider import _cosine, cider, compute_idf, idf_from_tables, tfidf_weights
+from capvqa.ngrams import extract_ngrams, ngram_table
 
 
 def _load_fixture(fixtures_dir):
@@ -50,6 +50,11 @@ def test_idf_is_order_independent():
     sets = [[["a", "b"]], [["b", "c"]], [["a", "c", "b"]]]
     shuffled = [sets[2], sets[0], sets[1]]
     assert compute_idf(sets) == compute_idf(shuffled)
+
+
+def tfidf_vector(tokens, n, idf):
+    """Sparse TF-IDF vector over the order-n n-grams of one caption."""
+    return tfidf_weights(extract_ngrams(tokens, n), n, idf)
 
 
 def test_single_document_corpus_gives_zero_vector():
@@ -154,6 +159,14 @@ def test_scale_must_be_finite_and_positive(scale):
     refs = [["a", "b"]]
     with pytest.raises(ValueError, match="scale"):
         cider(["a"], refs, compute_idf([refs]), scale=scale)
+
+
+def test_scale_past_the_corpus_bound_is_rejected():
+    # finite, but a perfect match would score inf; ScoringConfig rejects it too
+    idf = compute_idf([[["a", "b"]], [["c"]]])
+    with pytest.raises(ValueError) as error:
+        cider(["a", "b"], [["a", "b"]], idf, scale=1e308)
+    assert str(error.value) == "scale must be a number > 0 and at most 1e+300, got 1e+308"
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, 1e-200, 1e200])

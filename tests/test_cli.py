@@ -14,7 +14,7 @@ import oracles
 import capvqa
 from capvqa import cli, tokenize
 from capvqa.dataset_io import PHASES, load_ground_truth, load_predictions
-from capvqa.scoring import identity_scores
+from capvqa.scoring import score_captions
 
 
 def _fixture_args(fixtures_dir, *extra):
@@ -154,7 +154,7 @@ def test_split_means_match_brute_force(fixtures_dir, capsys):
 
 def test_identity_submission_hits_metric_ceilings(fixtures_dir):
     gt = load_ground_truth(fixtures_dir / "captions_gt.json")
-    scores = identity_scores(gt)
+    scores = score_captions(gt, gt)  # a prediction's split is never read
     for split_scores in (scores.internal, scores.external):
         assert split_scores.bleu4 == 1.0
         assert split_scores.rouge_l == 1.0
@@ -165,10 +165,8 @@ def test_identity_submission_hits_metric_ceilings(fixtures_dir):
 
 
 def test_identity_submission_with_perfect_vqa(tmp_path, fixtures_dir, capsys):
-    from capvqa.dataset_io import scenario_set_to_dict
-
     gt = load_ground_truth(fixtures_dir / "captions_gt.json")
-    doc = scenario_set_to_dict(gt)
+    doc = oracles.scenario_set_to_dict(gt)
     for scenario in doc["scenarios"]:
         del scenario["split"]
     pred_path = tmp_path / "identity.json"

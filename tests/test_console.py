@@ -1,0 +1,153 @@
+"""The `capvqa` command run as its own process, as a user or a CI job runs it.
+
+Each test starts `python -m capvqa.cli`, the module the installed console
+script calls, with the package's sources on its path.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import capvqa
+from capvqa import scoring, vqa
+from capvqa.dataset_io import PHASES
+
+_SRC = str(Path(capvqa.__file__).resolve().parent.parent)
+_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])),
+}
+
+
+def _python(*args, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=_ENV, timeout=120, **kwargs
+    )
+
+
+def _input_flags(gt_captions, pred_captions, gt_vqa, pred_vqa) -> list[str]:
+    return [
+        "--gt-captions", str(gt_captions), "--pred-captions", str(pred_captions),
+        "--gt-vqa", str(gt_vqa), "--pred-vqa", str(pred_vqa),
+    ]
+
+
+def _fixture_flags(fixtures_dir) -> list[str]:
+    return _input_flags(*(fixtures_dir / name for name in (
+        "captions_gt.json", "captions_pred.json", "vqa_gold.json", "vqa_pred.json"
+    )))
+
+
+def test_neither_import_nor_score_all_loads_dataclasses_or_inspect(fixtures_dir):
+    # their import alone took about 11 ms of every start
+    bare = _python("-c", "import sys; print(*sorted(sys.modules))")
+    probe = _python("-c", (
+        "import os, sys\n"
+        "import capvqa.cli\n"
+        "print(*sorted(sys.modules))\n"
+        f"code = capvqa.cli.main({['score-all', *_fixture_flags(fixtures_dir)]!r}"
+        " + ['--output', os.devnull])\n"
+        "print(*sorted(sys.modules))\n"
+        "sys.exit(code)\n"
+    ))
+    assert probe.returncode == 0, probe.stderr.decode()
+    baseline = set(bare.stdout.decode().split())
+    imported, scored = (set(line.split()) for line in probe.stdout.decode().splitlines())
+    assert "capvqa.cli" in imported and "capvqa.cli" not in baseline
+    for loaded in (imported, scored):
+        assert not {"dataclasses", "inspect"} & (loaded - baseline)
+
+
+@pytest.mark.parametrize(
+    "format, extension", [("markdown", "md"), ("csv", "csv"), ("json", "json")]
+)
+def test_console_score_all_prints_the_goldens(fixtures_dir, format, extension):
+    result = _python(
+        "-m", "capvqa.cli", "score-all", *_fixture_flags(fixtures_dir),
+        "--label", "toy", "--format", format,
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    golden = fixtures_dir / "golden" / f"score_all_report.{extension}"
+    assert result.stdout == golden.read_bytes()
+
+
+def test_console_bad_flag_exits_2_with_one_line_before_reading_inputs(tmp_path):
+    result = _python(
+        "-m", "capvqa.cli", "score-all", "--gt-captions", "missing.json",
+        "--pred-captions", "missing.json", "--meteor-beta", "0", cwd=tmp_path,
+    )
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr.count(b"\n") == 1 and b"argument --meteor-beta" in result.stderr
+
+
+_WORDS = [f"w{index}" for index in range(300)]
+
+
+def _caption(rng: random.Random) -> str:
+    words = [rng.choice(_WORDS) for _ in range(rng.randint(5, 30))]
+    return " ".join(words).capitalize() + rng.choice([".", "!", ""])
+
+
+def _write_corpus(directory: Path, scenarios: int, questions: int, rng: random.Random) -> list:
+    """The four input files of a seeded corpus, every answer rule in the mix."""
+    gt, pred = [], []
+    for index in range(scenarios):
+        segments = [
+            {"phase": phase, "pedestrian_caption": _caption(rng), "vehicle_caption": _caption(rng)}
+            for phase in PHASES
+        ]
+        gt.append({"id": f"s{index}", "split": ("internal", "external")[index % 2],
+                   "segments": segments})
+        predicted = [
+            {**segment, "vehicle_caption": _caption(rng)}
+            for segment in segments if rng.random() < 0.9
+        ]
+        pred.append({"id": f"s{index}", "segments": predicted})
+    items, answers = [], []
+    for index in range(questions):
+        # a distinct first word per option keeps the options apart after normalization
+        options = [f"{word} {rng.choice(_WORDS)}" for word in rng.sample(_WORDS, 4)]
+        gold, pick = rng.randrange(4), rng.randrange(4)
+        items.append({"id": f"q{index}", "segment": f"s{index % scenarios}/action",
+                      "question": "Which?", "options": options, "correct": gold})
+        raw = rng.choice([
+            "ABCD"[pick], f"{'abcd'[pick]}) {options[pick]}", options[pick].upper(),
+            f"I think {options[pick]}.", f"{options[0]} or {options[1]}", "no idea", None,
+        ])
+        if raw is not None:
+            answers.append({"id": f"q{index}", "raw": raw})
+    paths = []
+    for name, doc in (
+        ("gt_captions.json", {"scenarios": gt}), ("pred_captions.json", {"scenarios": pred}),
+        ("gt_vqa.json", {"questions": items}), ("pred_vqa.json", {"answers": answers}),
+    ):
+        paths.append(directory / name)
+        paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+    return paths
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="scoring forks only with two or more CPUs",
+)
+def test_forked_and_one_cpu_runs_print_the_same_bytes(tmp_path):
+    scenarios, questions = 16, 2 * vqa.MIN_CHUNK_ANSWERS + 100
+    # on two CPUs both map_chunks callers cut two chunks, so both fork
+    units = scenarios * len(PHASES) * len(scoring.PERSPECTIVES)
+    assert units >= 2 * scoring.MIN_CHUNK_UNITS
+    files = _write_corpus(tmp_path, scenarios, questions, random.Random(20))
+    argv = ["-m", "capvqa.cli", "score-all", *_input_flags(*files), "--format", "json"]
+    every_cpu = _python(*argv)
+    one_cpu = _python(
+        *argv, preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    )
+    assert every_cpu.returncode == one_cpu.returncode == 0, every_cpu.stderr + one_cpu.stderr
+    assert every_cpu.stdout == one_cpu.stdout
+    report = json.loads(every_cpu.stdout)
+    assert 0.0 < report["acc"] < 1.0 and report["internal"]["segments"] > 0

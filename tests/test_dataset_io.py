@@ -13,10 +13,10 @@ from capvqa.dataset_io import (
     load_predictions,
     load_vqa_items,
     load_vqa_predictions,
-    scenario_set_to_dict,
     validate,
 )
 from capvqa.errors import SchemaError
+from oracles import scenario_set_to_dict
 
 
 def _write(tmp_path, name, payload):

@@ -164,15 +164,15 @@ def test_each_chunk_builds_only_the_idf_of_the_splits_it_scores(monkeypatch, for
     # even splits and 2 CPUs: the caller scores (and builds the IDF of) the
     # internal split alone, and its child the external one
     caller, idf_docs = os.getpid(), []
-    post_init = CiderCorpusIdf.__post_init__
+    init = CiderCorpusIdf.__init__
 
-    def counted(idf):
+    def counted(idf, *args, **kwargs):
+        init(idf, *args, **kwargs)
         if os.getpid() == caller:
             idf_docs.append(idf.num_docs)
-        post_init(idf)
 
     monkeypatch.setattr(forking, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(CiderCorpusIdf, "__post_init__", counted)
+    monkeypatch.setattr(CiderCorpusIdf, "__init__", counted)
     gt, pred = _generated_corpus(external_every=2)
     score_captions(gt, pred)
     assert len(forks) == 1
