@@ -17,13 +17,15 @@ fraction so correct == acc * total holds without rounding games.
 import re
 import string
 from array import array
-from fractions import Fraction
-from typing import NamedTuple, NoReturn, Sequence
+from typing import TYPE_CHECKING, NamedTuple, NoReturn, Sequence
 
 from . import forking
 from .errors import SchemaError, ValidationFailure
 from .records import Record
 from .text_norm import PUNCTUATION
+
+if TYPE_CHECKING:  # `accuracy` imports it when it runs: `fractions` loads `decimal`
+    from fractions import Fraction
 
 NO_ANSWER = None
 
@@ -49,19 +51,21 @@ _LETTER_INDEX = {
 }
 _PUNCTUATION_BYTES = PUNCTUATION.encode()
 _SEPARATOR = "\x00"
+# The ASCII characters `str.split()` splits on, but the space, one bytes object each
+_OTHER_WHITESPACE = [bytes([code]) for code in range(128) if chr(code).isspace() and code != 32]
+_NUL_AS_SPACE = bytes.maketrans(_SEPARATOR.encode(), b" ")
 
 
-def _delete_punctuation(text: str) -> str:
-    """`text` without the `PUNCTUATION` characters, deleted byte by byte.
+def _delete_punctuation(text: str) -> bytes:
+    """The UTF-8 bytes of `text` without the `PUNCTUATION` characters.
 
     UTF-8 encodes every non-ASCII code point with non-ASCII bytes only, so
     deleting the ASCII punctuation bytes deletes exactly those characters.
-    `surrogatepass` carries lone surrogates through unchanged. This is
-    faster than a regex, and than `str.translate` on text that is not
-    pure ASCII.
+    `surrogatepass` carries lone surrogates through unchanged, both ways.
+    This is faster than a regex, and than `str.translate` on text that is
+    not pure ASCII.
     """
-    encoded = text.encode("utf-8", "surrogatepass")
-    return encoded.translate(None, _PUNCTUATION_BYTES).decode("utf-8", "surrogatepass")
+    return text.encode("utf-8", "surrogatepass").translate(None, _PUNCTUATION_BYTES)
 
 
 def _normalize_tokens(text: str) -> str:
@@ -71,7 +75,7 @@ def _normalize_tokens(text: str) -> str:
     sequences, and `f" {a} " in f" {b} "` holds exactly when the tokens of
     `a` are a contiguous run of the tokens of `b`.
     """
-    return " ".join(_delete_punctuation(text.lower()).split())
+    return " ".join(_delete_punctuation(text.lower()).decode("utf-8", "surrogatepass").split())
 
 
 def _normalize_many(texts: Sequence[str]) -> tuple[str, ...]:
@@ -81,11 +85,57 @@ def _normalize_many(texts: Sequence[str]) -> tuple[str, ...]:
     lowercasing of the Greek final sigma sees it as a text boundary. A
     text holding NUL itself splits into too many parts; those texts are
     normalized one at a time.
+
+    Collapsing whitespace, one text at a time, is skipped when the bytes
+    show it would change nothing: all ASCII, no whitespace but single
+    spaces, and none at a text's ends.
     """
-    parts = _delete_punctuation(_SEPARATOR.join(texts).lower()).split(_SEPARATOR)
+    encoded = _delete_punctuation(_SEPARATOR.join(texts).lower())
+    parts = encoded.decode("utf-8", "surrogatepass").split(_SEPARATOR)
     if len(parts) != len(texts):
         return tuple([_normalize_tokens(text) for text in texts])
+    # With each NUL read as a space, no space may touch another or an end.
+    # That also sends a block holding an empty text down the slow path.
+    spaced = encoded.translate(_NUL_AS_SPACE)
+    if (
+        encoded.isascii()
+        and not any(map(encoded.__contains__, _OTHER_WHITESPACE))
+        and b"  " not in spaced
+        and not spaced.startswith(b" ")
+        and not spaced.endswith(b" ")
+    ):
+        return tuple(parts)
     return tuple([" ".join(part.split()) for part in parts])
+
+
+def _shape_error(id: str, options: list, gold: int) -> str | None:
+    """Why a question with these options and gold index is malformed, or None."""
+    if len(options) < 2:
+        return f"question {id!r} needs at least 2 options, got {len(options)}"
+    if not 0 <= gold < len(options):
+        return f"question {id!r} gold index {gold} is outside [0, {len(options)})"
+    return None
+
+
+def _set_normalized_options(items: Sequence["VqaItem"]) -> bool:
+    """Set every item's normalized options, from one `_normalize_many` call.
+
+    Returns False, and stops, at the first item whose options collide
+    after normalization. A non-string option raises `TypeError`.
+    """
+    normalized = _normalize_many([option for item in items for option in item.options])
+    stop = 0
+    for item in items:
+        start = stop
+        stop += len(item.options)
+        options = normalized[start:stop]
+        if len(set(options)) != len(options):
+            return False
+        # The normalized options joined by "\n": one object, not a tuple of
+        # n strings. Normalized text holds no whitespace but single spaces,
+        # so splitting it on "\n" gives back exactly the n options.
+        item._normalized_options = "\n".join(options)
+    return True
 
 
 class VqaItem(Record):
@@ -93,21 +143,23 @@ class VqaItem(Record):
     _fields = __slots__[:-1]  # all but the derived slot
 
     def __init__(self, id: str, segment_id: str, question: str, options: list[str], gold: int):
-        if len(options) < 2:
-            raise SchemaError(f"question {id!r} needs at least 2 options, got {len(options)}")
-        if not 0 <= gold < len(options):
-            raise SchemaError(
-                f"question {id!r} gold index {gold} is outside [0, {len(options)})"
-            )
-        normalized = _normalize_many(options)
-        if len(set(normalized)) != len(normalized):
-            raise SchemaError(f"question {id!r} has options that collide after normalization")
+        if problem := _shape_error(id, options, gold):
+            raise SchemaError(problem)
         self.id, self.segment_id, self.question = id, segment_id, question
         self.options, self.gold = options, gold
-        # The normalized options joined by "\n": one object, not a tuple of n
-        # strings. Normalized text holds no whitespace but single spaces, so
-        # splitting it on "\n" gives back exactly the n options.
-        self._normalized_options = "\n".join(normalized)
+        if not _set_normalized_options([self]):
+            raise SchemaError(f"question {id!r} has options that collide after normalization")
+
+
+def _bare_item(id: str, segment_id: str, question: str, options: list[str], gold: int) -> VqaItem:
+    """An item that `_shape_error` passed, without its normalized options.
+
+    `_set_normalized_options` sets them, for many items at once.
+    """
+    item = object.__new__(VqaItem)
+    item.id, item.segment_id, item.question = id, segment_id, question
+    item.options, item.gold = options, gold
+    return item
 
 
 class VqaPrediction(Record):
@@ -120,7 +172,7 @@ class VqaPrediction(Record):
 class AccuracyResult(NamedTuple):
     total: int
     correct: int
-    acc: Fraction
+    acc: "Fraction"
 
     @property
     def acc_float(self) -> float:
@@ -197,6 +249,8 @@ def accuracy(
     child for every chunk after the first, and the counts are summed in
     chunk order, so the result is identical for any CPU count.
     """
+    from fractions import Fraction
+
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(
             f"missing_policy must be one of {MISSING_POLICIES}, got {missing_policy!r}"

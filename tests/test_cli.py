@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 import capvqa
-from capvqa import cli, tokenize
+from capvqa import cli, dataset_io, tokenize
 from capvqa.dataset_io import PHASES, load_ground_truth, load_predictions
 from capvqa.scoring import score_captions
 
@@ -391,6 +392,53 @@ def test_validate_with_a_bad_vqa_file_exits_2_before_printing(tmp_path, fixtures
     argv = ["validate", *_fixture_args(fixtures_dir), "--gt-vqa", str(gold_path)]
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", "error: expected dict, got int (at questions[0])\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_without_gc_and_leaves_it_as_it_found_it(
+    tmp_path, fixtures_dir, capsys, monkeypatch, enabled
+):
+    states = []
+    accuracy = cli.vqa.accuracy
+    monkeypatch.setattr(
+        cli.vqa, "accuracy", lambda *args, **kwargs: states.append(gc.isenabled()) or accuracy(*args, **kwargs)
+    )
+    bad = tmp_path / "gold.json"
+    bad.write_text('{"questions": [3]}', encoding="utf-8")
+    failing = _score_all_args(fixtures_dir)
+    failing[failing.index("--gt-vqa") + 1] = str(bad)
+    try:
+        for argv, code in ((_score_all_args(fixtures_dir), 0), (failing, 2)):
+            gc.enable() if enabled else gc.disable()
+            assert cli.main(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert states == [False]
+    capsys.readouterr()
+
+
+def test_a_gold_file_colliding_past_its_first_block_exits_2_before_answers_are_read(
+    tmp_path, fixtures_dir, capsys
+):
+    block = dataset_io._BLOCK_QUESTIONS
+    records = [
+        {"id": f"q{i}", "segment": "scenario_001/action", "question": "?",
+         "options": [f"Option {i}.", f"other {i}"], "correct": 0}
+        for i in range(2 * block + 10)
+    ]
+    records[block + 5]["options"] = ["A b", "a, b!"]
+    gold = tmp_path / "gold.json"
+    gold.write_text(json.dumps({"questions": records}), encoding="utf-8")
+    message = (
+        f"error: question 'q{block + 5}' has options that collide after normalization "
+        f"(at questions[{block + 5}])\n"
+    )
+    assert cli.main(["validate", *_fixture_args(fixtures_dir), "--gt-vqa", str(gold)]) == 2
+    assert capsys.readouterr() == ("", message)
+    unread = ["score-vqa", "--gt-vqa", str(gold), "--pred-vqa", str(tmp_path / "missing.json")]
+    assert cli.main(unread) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 def test_schema_error_exits_2(tmp_path, fixtures_dir, capsys):

@@ -61,6 +61,8 @@ def test_neither_import_nor_score_all_loads_dataclasses_or_inspect(fixtures_dir)
     assert "capvqa.cli" in imported and "capvqa.cli" not in baseline
     for loaded in (imported, scored):
         assert not {"dataclasses", "inspect"} & (loaded - baseline)
+    # only `vqa.accuracy` builds a Fraction; `fractions` loads `decimal`, 3.5 ms
+    assert not {"fractions", "decimal"} & (imported - baseline)
 
 
 @pytest.mark.parametrize(
@@ -151,3 +153,20 @@ def test_forked_and_one_cpu_runs_print_the_same_bytes(tmp_path):
     assert every_cpu.stdout == one_cpu.stdout
     report = json.loads(every_cpu.stdout)
     assert 0.0 < report["acc"] < 1.0 and report["internal"]["segments"] > 0
+
+
+_RUN_PY = Path(_SRC).parent / "perfbench" / "run.py"
+
+
+@pytest.mark.skipif(not _RUN_PY.is_file(), reason="needs the benchmark beside the sources")
+def test_benchmark_run_checks_its_own_output():
+    # The CI step "benchmark runs check their own output", on the heaviest
+    # workload: its --trace 0 run compares every score-all report with the
+    # in-process library result and counts each comparison.
+    result = _python(
+        str(_RUN_PY), "--workload", "vqa-bulk", "--seed", "1", "--seconds", "0", "--trace", "0",
+        cwd=_RUN_PY.parent.parent,
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    last = json.loads(result.stdout.decode().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0 and last["attempted"] > 0

@@ -16,7 +16,7 @@ from capvqa.dataset_io import (
     validate,
 )
 from capvqa.errors import SchemaError
-from oracles import scenario_set_to_dict
+from oracles import _normalize_tokens, scenario_set_to_dict
 
 
 def _write(tmp_path, name, payload):
@@ -267,6 +267,85 @@ def test_loaded_items_share_segment_strings_and_equal_items_built_one_by_one(tmp
     assert len({id(item.question) for item in items}) == 1
 
 
+_BLOCK = dataset_io._BLOCK_QUESTIONS
+
+
+def _blocks_of_questions(count=2 * _BLOCK + 10):
+    """`count` well-formed questions, more than two loader blocks by default."""
+    return [_question(id=f"q{i}", options=[f"Option {i}.", f"other {i}"]) for i in range(count)]
+
+
+def _collide(index):
+    return _question(id=f"q{index}", options=["A b", "a, b!"])
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        # a collision in the second block beats a structural error and a
+        # duplicate id after it
+        (
+            {_BLOCK + 5: _collide(_BLOCK + 5), _BLOCK + 7: _question(id="x", correct="0"),
+             _BLOCK + 9: _question(id="q0")},
+            f"question 'q{_BLOCK + 5}' has options that collide after normalization "
+            f"(at questions[{_BLOCK + 5}])",
+        ),
+        # a structural error in the first block beats a later collision,
+        # whichever pass finds it
+        (
+            {5: _question(id="q5", options=["a", 2]), _BLOCK + 5: _collide(_BLOCK + 5)},
+            "expected str, got int (at questions[5].options[1])",
+        ),
+        (
+            {5: _question(id="q5", segment=None), _BLOCK + 5: _collide(_BLOCK + 5)},
+            "expected str, got NoneType (at questions[5].segment)",
+        ),
+        (
+            {5: _question(id="q5", correct=2), 2 * _BLOCK + 1: _collide(2 * _BLOCK + 1)},
+            "question 'q5' gold index 2 is outside [0, 2) (at questions[5])",
+        ),
+        # a repeat in the second block of an id from the first names the repeat
+        (
+            {_BLOCK + 3: _question(id="q3")},
+            f"duplicate question id 'q3' (at questions[{_BLOCK + 3}])",
+        ),
+        (
+            {_BLOCK + 3: _question(id="q3"), 2 * _BLOCK + 2: _collide(2 * _BLOCK + 2)},
+            f"duplicate question id 'q3' (at questions[{_BLOCK + 3}])",
+        ),
+    ],
+)
+def test_vqa_errors_keep_file_order_across_blocks(tmp_path, faults, message):
+    records = _blocks_of_questions()
+    for index, record in faults.items():
+        records[index] = record
+    path = _write(tmp_path, "vqa.json", {"questions": records})
+    with pytest.raises(SchemaError) as error:
+        load_vqa_items(path)
+    assert str(error.value) == message
+
+
+def test_vqa_items_loaded_in_blocks_equal_items_built_one_by_one(tmp_path):
+    # the first block's options take the one-pass path, the second's and
+    # the last's are collapsed one text at a time
+    records = _blocks_of_questions()
+    for index in range(_BLOCK, 2 * _BLOCK + 10, 3):
+        records[index]["options"] = [f" Option\t{index}. ", f"\u00c9t\u00e9  {index}", "(x)"]
+    records[2 * _BLOCK + 4]["options"] = ["", "empty?"]
+    items = load_vqa_items(_write(tmp_path, "vqa.json", {"questions": records}))
+    expected = [
+        dataset_io.VqaItem(r["id"], r["segment"], r["question"], r["options"], r["correct"])
+        for r in records
+    ]
+    assert items == expected
+    joined = [item._normalized_options for item in items]
+    assert joined == [item._normalized_options for item in expected]
+    assert joined == [
+        "\n".join(" ".join(_normalize_tokens(option)) for option in r["options"])
+        for r in records
+    ]
+
+
 @pytest.mark.parametrize(
     "records, message",
     [
@@ -294,16 +373,18 @@ def test_gc_pause_leaves_records_unchanged(fixtures_dir, loader, name):
 
 
 def test_gc_is_paused_while_questions_are_built(fixtures_dir, monkeypatch):
-    states = []
-    item = dataset_io.VqaItem
+    # the parse builds each item bare, and the block pass sets its options
+    states = {}
+    for builder in ("_bare_item", "_set_normalized_options"):
+        build = getattr(dataset_io, builder)
 
-    def recording_item(*args):
-        states.append(gc.isenabled())
-        return item(*args)
+        def recording_build(*args, build=build, builder=builder):
+            states.setdefault(builder, []).append(gc.isenabled())
+            return build(*args)
 
-    monkeypatch.setattr(dataset_io, "VqaItem", recording_item)
+        monkeypatch.setattr(dataset_io, builder, recording_build)
     load_vqa_items(fixtures_dir / "vqa_gold.json")
-    assert states and not any(states)
+    assert len(states) == 2 and not any(states["_bare_item"] + states["_set_normalized_options"])
     assert gc.isenabled()
 
 
@@ -422,6 +503,14 @@ def test_vqa_gold_items_retain_less_than_the_parsed_document(bulk_vqa_files):
     assert count == 20_000
     _, document_bytes, _ = _traced(lambda: json.loads(gold.read_text(encoding="utf-8")))
     assert items_bytes < document_bytes
+
+
+def test_vqa_gold_load_holds_about_the_file_text_beyond_its_result(bulk_vqa_files):
+    gold, _ = bulk_vqa_files
+    count, _, transient = _traced(lambda: load_vqa_items(gold))
+    assert count == 20_000
+    # the text, while it parses, and not a whole file's normalized options
+    assert transient <= 1.25 * gold.stat().st_size
 
 
 def test_vqa_answers_load_holds_about_the_file_text_beyond_its_result(bulk_vqa_files):

@@ -106,6 +106,16 @@ _ALPHABET = [
     "\x00", "\ud800", "\udfff", "\ud83d\ude00", "\u03a3", "\u0130",
 ]
 _TEXTS = st.lists(st.sampled_from(_ALPHABET), max_size=12).map("".join)
+# Clean ASCII options: words joined by single spaces, punctuation against a
+# word. Lists of them mostly take `_normalize_many`'s one-pass path, which
+# lists of `_TEXTS` almost never do; an empty text sends one down the
+# per-text path.
+_CLEAN_WORDS = st.tuples(
+    st.sampled_from(["", "(", '"', "["]),
+    st.text(alphabet="abcXYZ09'-", min_size=1, max_size=4),
+    st.sampled_from(["", ".", ",", "!", "?)", ":", ";", '"]']),
+).map("".join)
+_CLEAN_TEXTS = st.lists(_CLEAN_WORDS, max_size=4).map(" ".join)
 
 
 @st.composite
@@ -143,7 +153,7 @@ def test_normalized_text_has_the_strip_tokenizer_tokens(text):
 
 
 @settings(max_examples=600, deadline=None)
-@given(st.lists(_TEXTS, max_size=6))
+@given(st.one_of(st.lists(_TEXTS, max_size=6), st.lists(_CLEAN_TEXTS, max_size=6)))
 def test_batched_normalization_matches_the_per_text_reference(texts):
     expected = tuple(" ".join(oracles._normalize_tokens(text)) for text in texts)
     assert vqa._normalize_many(texts) == expected
@@ -166,6 +176,17 @@ def test_batched_normalization_edge_cases():
     # a text holding the separator falls back to one text at a time
     assert vqa._normalize_many(["a\x00b.", "C!"]) == ("a\x00b", "c")
     assert vqa._normalize_many(["\ud83d\ude00?", "\udfff"]) == ("\ud83d\ude00", "\udfff")
+    # the one-pass path takes clean ASCII; each fault below needs collapsing
+    assert vqa._normalize_many(["A (b).", "c, d"]) == ("a b", "c d")
+    assert vqa._normalize_many(["a  b", "c"]) == ("a b", "c")
+    assert vqa._normalize_many(["a . b", "c"]) == ("a b", "c")
+    assert vqa._normalize_many([" a", "b"]) == ("a", "b")
+    assert vqa._normalize_many(["a", "b "]) == ("a", "b")
+    assert vqa._normalize_many(["a ", "b"]) == ("a", "b")
+    assert vqa._normalize_many(["a", "? b"]) == ("a", "b")
+    assert vqa._normalize_many(["a\tb", "c\x1fd"]) == ("a b", "c d")
+    assert vqa._normalize_many(["a\u2003b", "\u00e9 e"]) == ("a b", "\u00e9 e")
+    assert vqa._normalize_many(["a", "", "b"]) == ("a", "", "b")
 
 
 def test_all_correct():
