@@ -30,12 +30,7 @@ from .vqa import VqaItem, VqaPrediction, _bare_item, _set_normalized_options, _s
 
 PHASES = ("prerecognition", "recognition", "judgment", "action", "avoidance")
 SPLITS = ("internal", "external")
-# The record classes for type checks, bound once: `VqaItem` names the
-# constructor the loader calls, which a caller may wrap.
-_VqaItem, _VqaPrediction = VqaItem, VqaPrediction
 _RECORD_TYPES = (VqaItem, VqaPrediction)
-# A gold file's keys, in the order of `VqaItem._fields`
-_QUESTION_KEYS = ("id", "segment", "question", "options", "correct")
 # Questions whose options are normalized in one call: about 400 KB of text
 # for four-option questions. On the 50,000 questions of a vqa-bulk gold
 # file, one call for the whole file peaked 20.4 MB above the loaded items,
@@ -267,7 +262,7 @@ def load_vqa_items(path) -> list[VqaItem]:
     for start in range(0, len(questions), _BLOCK_QUESTIONS):
         block = questions[start : start + _BLOCK_QUESTIONS]
         try:
-            normalized = {*map(type, block)} == {_VqaItem} and _set_normalized_options(block)
+            normalized = {*map(type, block)} == {VqaItem} and _set_normalized_options(block)
         except TypeError:  # an option that is not a string
             normalized = False
         if not normalized:
@@ -285,8 +280,6 @@ def _items_one_by_one(questions: list) -> list[VqaItem]:
     """
     seen_ids = set()
     for idx, record in enumerate(questions):
-        if isinstance(record, _VqaItem):
-            record = dict(zip(_QUESTION_KEYS, record._values()))
         questions[idx] = item = _item_from_record(record, f"questions[{idx}]", seen_ids)
         seen_ids.add(item.id)
     return questions
@@ -296,25 +289,39 @@ def _item_from_record(record, locator: str, seen_ids: set[str]) -> VqaItem:
     """The item of one question record, or its error.
 
     The checks run one at a time, in the order that picks which error a
-    record with several faults reports.
+    record with several faults reports. An item the parse built bare has
+    passed all but three: a new id, string options, and no collision.
     """
-    record = _expect(record, dict, locator)
-    item_id = _field(record, "id", str, locator)
-    if item_id in seen_ids:
-        raise SchemaError(f"duplicate question id {item_id!r}", locator=locator)
-    options = _field(record, "options", list, locator)
-    for o_idx, option in enumerate(options):
-        _expect(option, str, f"{locator}.options[{o_idx}]")
-    segment_id = _field(record, "segment", str, locator)
-    question = _field(record, "question", str, locator)
-    gold = _field(record, "correct", int, locator)
-    if isinstance(gold, bool):
-        raise SchemaError("expected int, got bool", locator=f"{locator}.correct")
+    if isinstance(record, VqaItem):
+        item_id, segment_id, question, options, gold = record._values()
+        _check_new_id(item_id, seen_ids, locator)
+        _check_option_types(options, locator)
+    else:
+        record = _expect(record, dict, locator)
+        item_id = _field(record, "id", str, locator)
+        _check_new_id(item_id, seen_ids, locator)
+        options = _field(record, "options", list, locator)
+        _check_option_types(options, locator)
+        segment_id = _field(record, "segment", str, locator)
+        question = _field(record, "question", str, locator)
+        gold = _field(record, "correct", int, locator)
+        if isinstance(gold, bool):
+            raise SchemaError("expected int, got bool", locator=f"{locator}.correct")
     try:
         return VqaItem(item_id, segment_id, question, options, gold)
     except SchemaError as exc:
         # VqaItem does not know where its record sits in the file
         raise SchemaError(str(exc), locator=locator) from exc
+
+
+def _check_new_id(item_id: str, seen_ids: set[str], locator: str) -> None:
+    if item_id in seen_ids:
+        raise SchemaError(f"duplicate question id {item_id!r}", locator=locator)
+
+
+def _check_option_types(options: list, locator: str) -> None:
+    for o_idx, option in enumerate(options):
+        _expect(option, str, f"{locator}.options[{o_idx}]")
 
 
 @gc_paused()
@@ -335,7 +342,7 @@ def load_vqa_predictions(path) -> list[VqaPrediction]:
 
     predictions = _vqa_document(path, build, "answers")
     for idx, prediction in enumerate(predictions):
-        if not isinstance(prediction, _VqaPrediction):
+        if not isinstance(prediction, VqaPrediction):
             locator = f"answers[{idx}]"
             record = _expect(prediction, dict, locator)
             predictions[idx] = VqaPrediction(

@@ -88,7 +88,12 @@ def _normalize_many(texts: Sequence[str]) -> tuple[str, ...]:
 
     Collapsing whitespace, one text at a time, is skipped when the bytes
     show it would change nothing: all ASCII, no whitespace but single
-    spaces, and none at a text's ends.
+    spaces, and none at a text's ends. The test covers the whole call, so
+    one text that fails it (an accented letter, a curly quote, a tab or a
+    double space) sends every text of the call through the collapse. On
+    16,384 clean ASCII options the checks take about 0.9 ms and save about
+    4 ms of collapsing; a call that fails them pays up to the 0.9 ms for
+    nothing.
     """
     encoded = _delete_punctuation(_SEPARATOR.join(texts).lower())
     parts = encoded.decode("utf-8", "surrogatepass").split(_SEPARATOR)
