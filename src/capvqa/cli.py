@@ -145,9 +145,13 @@ def cmd_score_captions(args) -> int:
     return 0
 
 
-def _check_vqa_segments(gt: dataset_io.ScenarioSet, items: list[vqa.VqaItem]) -> None:
-    """Fail on the first question whose segment is not a scenario/phase of `gt`."""
-    known = {f"{scenario_id}/{phase}" for scenario_id, phase in gt.segment_keys()}
+def _segment_ids(gt: dataset_io.ScenarioSet) -> set[str]:
+    """The `scenario/phase` segment id of every segment of `gt`."""
+    return {f"{scenario_id}/{phase}" for scenario_id, phase in gt.segment_keys()}
+
+
+def _check_vqa_segments(known: set[str], items: list[vqa.VqaItem]) -> None:
+    """Fail on the first question whose segment is not in `known`."""
     for idx, item in enumerate(items):
         if item.segment_id not in known:
             raise ValidationFailure(
@@ -158,13 +162,26 @@ def _check_vqa_segments(gt: dataset_io.ScenarioSet, items: list[vqa.VqaItem]) ->
 
 
 def _score_vqa_files(args, gt: dataset_io.ScenarioSet | None = None) -> vqa.AccuracyResult:
-    """VQA accuracy; under `--strict`, every question's segment must be in `gt` if given."""
-    items = dataset_io.load_vqa_items(args.gt_vqa)
-    if args.strict and gt is not None:
-        _check_vqa_segments(gt, items)
-    predictions = dataset_io.load_vqa_predictions(args.pred_vqa)
+    """VQA accuracy; under `--strict`, every question's segment must be in `gt` if given.
+
+    A large gold file is scored in shares, one per CPU. A small one, and
+    any fault in any share, takes the checked serial path, which alone
+    reports errors: the gold file is checked before the answers are read.
+    """
     policy = "strict" if args.strict else "missing-is-wrong"
-    return vqa.accuracy(items, predictions, missing_policy=policy)
+    known = _segment_ids(gt) if args.strict and gt is not None else None
+    result = None
+    if dataset_io.vqa_share_count(args.gt_vqa) > 1:
+        from . import vqa_shares  # imported here: a run that cannot split need not compile it
+
+        result = vqa_shares.score_vqa_in_shares(args.gt_vqa, args.pred_vqa, policy, known)
+    if result is None:
+        items = dataset_io.load_vqa_items(args.gt_vqa)
+        if known is not None:
+            _check_vqa_segments(known, items)
+        predictions = dataset_io.load_vqa_predictions(args.pred_vqa)
+        result = vqa.accuracy(items, predictions, missing_policy=policy)
+    return result
 
 
 def cmd_score_vqa(args) -> int:
@@ -197,7 +214,7 @@ def cmd_validate(args) -> int:
     validation = dataset_io.validate(gt, pred)
     sys.stdout.write(validation.summary() + "\n")
     if items is not None:
-        _check_vqa_segments(gt, items)
+        _check_vqa_segments(_segment_ids(gt), items)
     return 0 if validation.is_empty() else 1
 
 

@@ -22,9 +22,11 @@ by `validate`, so partial submissions can still be inspected.
 import contextlib
 import gc
 import json
+import os
 from pathlib import Path
 from typing import Any, NamedTuple
 
+from . import forking
 from .errors import SchemaError
 from .vqa import VqaItem, VqaPrediction, _bare_item, _set_normalized_options, _shape_error
 
@@ -36,6 +38,14 @@ _RECORD_TYPES = (VqaItem, VqaPrediction)
 # file, one call for the whole file peaked 20.4 MB above the loaded items,
 # against 4.9 MB in blocks, and took 6,100 more page faults.
 _BLOCK_QUESTIONS = 4096
+# Gold-file bytes a VQA share must have, or the command line scores the
+# file in one process, where a fork, its pipe and its reap cost more
+# than the share saves. On a 2-CPU Xeon KVM guest, 16 alternating cold
+# `score-vqa` runs each on the first questions of a vqa-bulk gold file,
+# two shares against one process (median saving): 225 KB -1.0 ms, 327 KB
+# -0.4 ms, 452 KB +4.2 ms (14 of 16 faster), 609 KB +9.8 ms (12 of 16).
+# So two shares start at 450 KB.
+MIN_SHARE_BYTES = 225_000
 
 
 class Segment(NamedTuple):
@@ -214,6 +224,19 @@ def gc_paused():
             gc.enable()
 
 
+def vqa_share_count(path) -> int:
+    """How many shares `vqa_shares.score_vqa_in_shares` would cut the gold file at `path` into.
+
+    One per CPU of the process's affinity set, and at most one per
+    `MIN_SHARE_BYTES` of the file; 0 for a file that cannot be read. Below
+    two, the file is scored in one process, without importing `vqa_shares`.
+    """
+    try:
+        return min(forking._cpu_count(), os.path.getsize(path) // MIN_SHARE_BYTES)
+    except OSError:
+        return 0
+
+
 def _vqa_document(path, build, records: str):
     """Parse `path`, building each record as the parser closes it.
 
@@ -226,6 +249,32 @@ def _vqa_document(path, build, records: str):
     if isinstance(root, _RECORD_TYPES):
         raise SchemaError(f"missing field {records!r}", locator=str(path))
     return _field(_expect(root, dict, str(path)), records, list, str(path))
+
+
+def _question_hook(keep):
+    """An `object_hook` that hands each well-formed question record to `keep`.
+
+    A dict with the fields of a question, of the right types, at least two
+    options and the gold index among them, becomes what `keep(id, segment,
+    question, options, gold)` returns, so the parser frees its dict at
+    once. Any other dict, and one holding a `questions` key, stays as it
+    is. The options are neither checked to be strings nor normalized here.
+    """
+
+    def hook(record: dict):
+        if (
+            type(item_id := record.get("id")) is str
+            and type(options := record.get("options")) is list
+            and type(segment_id := record.get("segment")) is str
+            and type(question := record.get("question")) is str
+            and type(gold := record.get("correct")) is int
+            and _shape_error(item_id, options, gold) is None
+            and "questions" not in record
+        ):
+            return keep(item_id, segment_id, question, options, gold)
+        return record
+
+    return hook
 
 
 @gc_paused()
@@ -242,23 +291,13 @@ def load_vqa_items(path) -> list[VqaItem]:
     """
     memo: dict[str, str] = {}
 
-    def build(record: dict):
-        if (
-            type(item_id := record.get("id")) is str
-            and type(options := record.get("options")) is list
-            and type(segment_id := record.get("segment")) is str
-            and type(question := record.get("question")) is str
-            and type(gold := record.get("correct")) is int
-            and _shape_error(item_id, options, gold) is None
-            and "questions" not in record
-        ):
-            return _bare_item(
-                item_id, memo.setdefault(segment_id, segment_id),
-                memo.setdefault(question, question), options, gold,
-            )
-        return record
+    def build(item_id, segment_id, question, options, gold):
+        return _bare_item(
+            item_id, memo.setdefault(segment_id, segment_id),
+            memo.setdefault(question, question), options, gold,
+        )
 
-    questions = _vqa_document(path, build, "questions")
+    questions = _vqa_document(path, _question_hook(build), "questions")
     for start in range(0, len(questions), _BLOCK_QUESTIONS):
         block = questions[start : start + _BLOCK_QUESTIONS]
         try:
@@ -324,23 +363,31 @@ def _check_option_types(options: list, locator: str) -> None:
         _expect(option, str, f"{locator}.options[{o_idx}]")
 
 
+def _answer_hook(keep):
+    """An `object_hook` that hands each well-formed answer record to `keep(id, raw)`.
+
+    Any other dict, and one holding an `answers` key, stays as it is.
+    """
+
+    def hook(record: dict):
+        if (
+            type(prediction_id := record.get("id")) is str
+            and type(raw := record.get("raw")) is str
+            and "answers" not in record
+        ):
+            return keep(prediction_id, raw)
+        return record
+
+    return hook
+
+
 @gc_paused()
 def load_vqa_predictions(path) -> list[VqaPrediction]:
     """Load the VQA submission file; id collisions are caught at scoring time.
 
     Like the gold load, each answer is built as the parser closes it.
     """
-
-    def build(record: dict):
-        if (
-            type(prediction_id := record.get("id")) is str
-            and type(raw := record.get("raw")) is str
-            and "answers" not in record
-        ):
-            return VqaPrediction(prediction_id, raw)
-        return record
-
-    predictions = _vqa_document(path, build, "answers")
+    predictions = _vqa_document(path, _answer_hook(VqaPrediction), "answers")
     for idx, prediction in enumerate(predictions):
         if not isinstance(prediction, VqaPrediction):
             locator = f"answers[{idx}]"

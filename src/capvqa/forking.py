@@ -7,6 +7,21 @@ caller's memory, so nothing is sent to it, and it sends its result back
 as the raw bytes of an `array` over a pipe: nothing is pickled, and every
 float arrives bit for bit. Results come back in chunk order, so a caller
 that reduces them in that order gets the same answer for any CPU count.
+A child leaves by `os._exit` once its result is written, so it frees
+nothing it built.
+
+Inheriting is not free: each page of the caller's that a child writes,
+a reference count included, costs the child a copy-on-write fault, about
+5 us on a KVM guest. So the callers differ in what exists at the fork:
+
+* `scoring.score_captions` forks over raw caption text, and each chunk
+  tokenizes and scores its own units;
+* `vqa_shares.score_vqa_in_shares` forks before it reads the gold
+  file: the work is the list of shares, and each share reads, parses
+  and scores its own byte range of the file, so a child writes hardly
+  any of the caller's pages but those of the answers it looks up;
+* `vqa.accuracy`, a library call on loaded items, forks over them and
+  pays the faults (`vqa.MIN_CHUNK_ANSWERS`).
 """
 
 import os

@@ -24,19 +24,22 @@ from .errors import SchemaError, ValidationFailure
 from .records import Record
 from .text_norm import PUNCTUATION
 
-if TYPE_CHECKING:  # `accuracy` imports it when it runs: `fractions` loads `decimal`
+if TYPE_CHECKING:  # imported when a result is built: `fractions` loads `decimal`
     from fractions import Fraction
 
 NO_ANSWER = None
 
 MISSING_POLICIES = ("missing-is-wrong", "strict")
 
-# Answers a forked chunk must hold, or accuracy resolves them serially.
-# An answer takes about 2-4 us, against 0.3 ms for a caption unit. On a
-# 2-CPU Xeon KVM guest holding vqa-bulk's 80 MB heap, forking, exiting and
-# reaping a child took 3.5 ms, and each chunk then paid about 0.5 us per
-# answer in copy-on-write faults. Split in two, 10,000 answers lost 2.5 ms
-# and 20,000, 30,000 and 50,000 saved 6.6, 14.5 and 31 ms, so a chunk of
+# Answers a forked chunk of the library's `accuracy` must hold, or it
+# resolves them serially. The command line forks before it reads the
+# gold file instead (`dataset_io.MIN_SHARE_BYTES`), and calls `accuracy`
+# only for small or faulty files. An answer takes about 2-4 us, against
+# 0.3 ms for a caption unit. On a 2-CPU Xeon KVM guest holding vqa-bulk's
+# 80 MB heap of loaded items, forking, exiting and reaping a child took
+# 3.5 ms, and each chunk then paid about 0.5 us per answer in
+# copy-on-write faults. Split in two, 10,000 answers lost 2.5 ms and
+# 20,000, 30,000 and 50,000 saved 6.6, 14.5 and 31 ms, so a chunk of
 # 10,000 saves about twice a fork's cost.
 MIN_CHUNK_ANSWERS = 10_000
 
@@ -122,24 +125,39 @@ def _shape_error(id: str, options: list, gold: int) -> str | None:
     return None
 
 
-def _set_normalized_options(items: Sequence["VqaItem"]) -> bool:
-    """Set every item's normalized options, from one `_normalize_many` call.
+def _joined_options(questions: Sequence[Sequence[str]]) -> list[str] | None:
+    """Each question's normalized options joined by "\n", from one `_normalize_many` call.
 
-    Returns False, and stops, at the first item whose options collide
+    The joined form is one object, not a tuple of n strings. Normalized
+    text holds no whitespace but single spaces, so splitting it on "\n"
+    gives back exactly the n options. Returns None at the first question
+    whose options collide after normalization. A non-string option raises
+    `TypeError`.
+    """
+    normalized = _normalize_many([option for options in questions for option in options])
+    joined = []
+    stop = 0
+    for options in questions:
+        start = stop
+        stop += len(options)
+        normal = normalized[start:stop]
+        if len(set(normal)) != len(normal):
+            return None
+        joined.append("\n".join(normal))
+    return joined
+
+
+def _set_normalized_options(items: Sequence["VqaItem"]) -> bool:
+    """Set every item's normalized options, from one `_joined_options` call.
+
+    Returns False, and sets none, when the options of any item collide
     after normalization. A non-string option raises `TypeError`.
     """
-    normalized = _normalize_many([option for item in items for option in item.options])
-    stop = 0
-    for item in items:
-        start = stop
-        stop += len(item.options)
-        options = normalized[start:stop]
-        if len(set(options)) != len(options):
-            return False
-        # The normalized options joined by "\n": one object, not a tuple of
-        # n strings. Normalized text holds no whitespace but single spaces,
-        # so splitting it on "\n" gives back exactly the n options.
-        item._normalized_options = "\n".join(options)
+    joined = _joined_options([item.options for item in items])
+    if joined is None:
+        return False
+    for item, options in zip(items, joined):
+        item._normalized_options = options
     return True
 
 
@@ -184,6 +202,12 @@ class AccuracyResult(NamedTuple):
         return float(self.acc)
 
 
+def _accuracy_result(total: int, correct: int) -> AccuracyResult:
+    from fractions import Fraction
+
+    return AccuracyResult(total=total, correct=correct, acc=Fraction(correct, total))
+
+
 def normalize_answer(raw: str, options: Sequence[str]) -> int | None:
     """Resolve a free-form answer to a 0-based option index, or NO_ANSWER.
 
@@ -224,6 +248,22 @@ def _resolve(raw: str, normalized_options: str) -> int | None:
     return NO_ANSWER
 
 
+def _count_correct(
+    raws: Sequence[str | None], joined_options: Sequence[str], golds: Sequence[int]
+) -> int:
+    """Questions whose answer resolves to their gold option; a None answer is wrong.
+
+    The three columns are read in step: question k has answer `raws[k]`,
+    options `joined_options[k]` in `_joined_options`'s form, and gold
+    index `golds[k]`.
+    """
+    correct = 0
+    for raw, joined, gold in zip(raws, joined_options, golds):
+        if raw is not None and _resolve(raw, joined) == gold:
+            correct += 1
+    return correct
+
+
 def _raise_first_duplicate(kind: str, records: str, ids: list[str]) -> NoReturn:
     """Raise for the first id in `ids` that repeats an earlier one.
 
@@ -254,8 +294,6 @@ def accuracy(
     child for every chunk after the first, and the counts are summed in
     chunk order, so the result is identical for any CPU count.
     """
-    from fractions import Fraction
-
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(
             f"missing_policy must be one of {MISSING_POLICIES}, got {missing_policy!r}"
@@ -288,15 +326,9 @@ def accuracy(
 
     def count_correct(chunk: range) -> array:
         rows = slice(chunk.start, chunk.stop)
-        correct = 0
-        for raw, joined, gold in zip(raws[rows], joined_options[rows], golds[rows]):
-            if raw is not None and _resolve(raw, joined) == gold:
-                correct += 1
-        return array("q", [correct])
+        return array("q", [_count_correct(raws[rows], joined_options[rows], golds[rows])])
 
     counts = forking.map_chunks(
         range(len(items)), count_correct, lambda size: 1, MIN_CHUNK_ANSWERS
     )
-    correct = sum([count[0] for count in counts])
-    total = len(items)
-    return AccuracyResult(total=total, correct=correct, acc=Fraction(correct, total))
+    return _accuracy_result(len(items), sum([count[0] for count in counts]))
