@@ -1,8 +1,7 @@
 """capvqa: scoring for dual-task traffic-video benchmarks.
 
 Caption quality (BLEU-4, METEOR, ROUGE-L, CIDEr), multiple-choice VQA
-accuracy, and the composite leaderboard score, plus the low-rank adapter
-and log-likelihood arithmetic behind the models being scored.
+accuracy, and the composite leaderboard score.
 """
 
 from .bleu import BleuBreakdown, bleu4
@@ -23,24 +22,10 @@ from .ngrams import clipped_matches, extract_ngrams
 from .report import RankedEntry, ResultRow, rank_leaderboard, render_leaderboard, render_table
 from .rouge import RougeBreakdown, lcs_length, rouge_l
 from .scoring import CaptionScores, ScoringConfig, SegmentScore, score_captions
-from .text_norm import TokenizerConfig, tokenize
+from .text_norm import tokenize
 from .vqa import NO_ANSWER, AccuracyResult, VqaItem, VqaPrediction, accuracy, normalize_answer
 
 __version__ = "0.1.0"
-
-# `adaptation` needs numpy, which the scoring CLI never uses, so its names
-# are imported on first access (PEP 562) rather than with the package.
-_ADAPTATION_NAMES = frozenset(
-    {"LowRankAdapter", "SegmentedSample", "caption_nll", "lora_merge", "vqa_nll"}
-)
-
-
-def __getattr__(name):
-    if name in _ADAPTATION_NAMES:
-        from . import adaptation
-
-        return getattr(adaptation, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AccuracyResult",
@@ -49,20 +34,18 @@ __all__ = [
     "CiderBreakdown",
     "CiderCorpusIdf",
     "FinalScore",
-    "LowRankAdapter",
     "MeteorAlignment",
     "MeteorBreakdown",
     "MeteorParams",
     "NO_ANSWER",
     "RankedEntry",
     "ResultRow",
+    "RougeBreakdown",
     "ScenarioSet",
     "SchemaError",
     "ScoringConfig",
     "SegmentScore",
-    "SegmentedSample",
     "SplitScores",
-    "TokenizerConfig",
     "ValidationFailure",
     "ValidationReport",
     "VqaItem",
@@ -72,7 +55,6 @@ __all__ = [
     "align",
     "bleu4",
     "cap_score",
-    "caption_nll",
     "cider",
     "clipped_matches",
     "compute_idf",
@@ -82,7 +64,6 @@ __all__ = [
     "load_predictions",
     "load_vqa_items",
     "load_vqa_predictions",
-    "lora_merge",
     "meteor",
     "normalize_answer",
     "rank_leaderboard",
@@ -93,5 +74,4 @@ __all__ = [
     "score_captions",
     "tokenize",
     "validate",
-    "vqa_nll",
 ]

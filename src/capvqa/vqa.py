@@ -72,11 +72,13 @@ def _delete_punctuation(text: str) -> bytes:
 
 
 def _normalize_tokens(text: str) -> str:
-    """The tokens of `tokenize(text, strip policy)`, joined by single spaces.
+    """The whitespace-split tokens of `text`, lowercased and without `PUNCTUATION`.
 
-    Tokens never contain whitespace, so equal strings mean equal token
-    sequences, and `f" {a} " in f" {b} "` holds exactly when the tokens of
-    `a` are a contiguous run of the tokens of `b`.
+    The tokens are joined by single spaces. Unlike `tokenize`, which keeps
+    punctuation as tokens, answers drop it, so "a car." matches the option
+    "A car". Tokens never contain whitespace, so equal strings mean equal
+    token sequences, and `f" {a} " in f" {b} "` holds exactly when the
+    tokens of `a` are a contiguous run of the tokens of `b`.
     """
     return " ".join(_delete_punctuation(text.lower()).decode("utf-8", "surrogatepass").split())
 

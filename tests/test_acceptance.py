@@ -13,8 +13,7 @@ import time
 import pytest
 
 import oracles
-from capvqa import cli, tokenize
-from capvqa.adaptation import LowRankAdapter, SegmentedSample, caption_nll, lora_merge, vqa_nll
+from capvqa import cli
 from capvqa.bleu import bleu4
 from capvqa.cider import cider, compute_idf
 from capvqa.composite import FinalScore, cap_score, s2
@@ -23,8 +22,6 @@ from capvqa.meteor import align, meteor
 from capvqa.report import ResultRow, rank_leaderboard, render_table
 from capvqa.rouge import lcs_length, rouge_l
 from capvqa.vqa import VqaItem, VqaPrediction, accuracy, normalize_answer
-
-import numpy as np
 
 
 def _passed(line: str):
@@ -170,33 +167,6 @@ def test_composite():
     assert percent["acc"] == final.acc * 100.0
     assert percent["s2"] == final.s2 * 100.0
     _passed("composite 0.56525 exact, s2(0.4, 0.6) = 0.5, percent view is 100x")
-
-
-def test_adaptation_math():
-    rng = np.random.default_rng(717171)
-    w = rng.normal(size=(4, 4))
-    zero = LowRankAdapter(b=np.zeros((4, 2)), a=rng.normal(size=(2, 4)))
-    assert (lora_merge(w, zero) == w).all()
-
-    for _ in range(10):
-        w = rng.normal(size=(5, 5))
-        b = rng.normal(size=(5, 2))
-        a = rng.normal(size=(2, 5))
-        merged = lora_merge(w, LowRankAdapter(b=b, a=a))
-        expected = np.array([
-            [w[i][j] + sum(b[i][k] * a[k][j] for k in range(2)) for j in range(5)]
-            for i in range(5)
-        ])
-        assert np.abs(merged - expected).max() < 1e-12
-
-    uniform = [0.25, 0.25, 0.25, 0.25]
-    dists = {(1, "p", 1): uniform, (1, "p", 2): uniform,
-             (1, "v", 1): [1.0, 0.0, 0.0, 0.0]}
-    sample = SegmentedSample(segment=1, captions={"p": [0, 2], "v": [0]})
-    assert caption_nll(dists, [sample]) == pytest.approx(2 * math.log(4), abs=1e-12)
-    assert vqa_nll([[0.25] * 4], [1]) == pytest.approx(math.log(4), abs=1e-12)
-    _passed("low-rank merges (zero-update bit-exact, brute-force multiply 1e-12) "
-            "and NLL examples 2*ln4, ln4")
 
 
 def test_end_to_end_determinism(fixtures_dir, capsys):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import oracles
+from capvqa import tokenize
 from capvqa.bleu import EPSILON_FLOOR, bleu4
 
 # Frozen from oracles.bleu4_reference("the cat sat on mat", ["the cat sat on the mat"]):
@@ -27,6 +28,22 @@ def test_hand_computed_example():
     assert result.brevity_penalty == pytest.approx(math.exp(-0.2), abs=1e-15)
     assert result.score == pytest.approx(HAND_EXAMPLE_SCORE, abs=1e-12)
     assert result.score == pytest.approx(oracles.bleu4_reference(cand, [ref]), abs=1e-12)
+
+
+def test_papineni_modified_unigram_precision():
+    # Papineni et al. (2002), section 2.1.1: "the" is clipped to its largest
+    # count in one reference, 2, so the seven-"the" candidate earns 2/7
+    references = [
+        ["the", "cat", "is", "on", "the", "mat"],
+        ["there", "is", "a", "cat", "on", "the", "mat"],
+    ]
+    assert bleu4(["the"] * 7, references).precisions[0] == 2 / 7
+    # Known departure: `tokenize` keeps each final period as a token, which
+    # both references match, so the paper's sentences read 3/8 here
+    candidate = tokenize("the the the the the the the.")
+    references = [tokenize("The cat is on the mat."), tokenize("There is a cat on the mat.")]
+    assert candidate == ["the"] * 7 + ["."]
+    assert bleu4(candidate, references).precisions[0] == 3 / 8
 
 
 def test_short_candidate_has_no_fourgrams_and_scores_zero():

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from capvqa.cider import _cosine, cider, compute_idf, idf_from_tables, tfidf_weights
+from capvqa.cider import (
+    _cosine, cider, compute_idf, idf_from_tables, length_penalty, length_penalty_spread,
+    tfidf_weights,
+)
 from capvqa.ngrams import extract_ngrams, ngram_table
 
 
@@ -152,6 +155,15 @@ def test_length_penalty_flag():
     short = cider(["a", "b"], refs, idf)
     penalized = cider(["a", "b"], refs, idf, length_penalty_sigma=6.0)
     assert penalized.score == pytest.approx(short.score * math.exp(-4 / 72), abs=1e-12)
+
+
+def test_cider_d_length_penalty_example():
+    # CIDEr-D (Vedantam et al. 2015) scales each reference's similarity by
+    # exp(-(l_c - l_s)**2 / (2 * sigma**2)) with sigma = 6
+    spread = length_penalty_spread(6.0)
+    assert spread == 72.0
+    assert length_penalty(5, 8, spread) == length_penalty(8, 5, spread) == math.exp(-9 / 72)
+    assert length_penalty(5, 5, spread) == length_penalty(5, 8, None) == 1.0
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])

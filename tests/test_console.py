@@ -68,14 +68,51 @@ def test_neither_import_nor_score_all_loads_dataclasses_or_inspect(fixtures_dir)
 @pytest.mark.parametrize(
     "format, extension", [("markdown", "md"), ("csv", "csv"), ("json", "json")]
 )
-def test_console_score_all_prints_the_goldens(fixtures_dir, format, extension):
-    result = _python(
-        "-m", "capvqa.cli", "score-all", *_fixture_flags(fixtures_dir),
-        "--label", "toy", "--format", format,
-    )
+@pytest.mark.parametrize("command", ["score-captions", "score-vqa", "score-all"])
+def test_console_prints_every_byte_golden(fixtures_dir, command, format, extension):
+    # the CI step "the installed capvqa command prints the nine byte goldens"
+    flags = _fixture_flags(fixtures_dir)
+    captions, vqa_files = flags[:4], flags[4:]  # the --*-captions, then the --*-vqa flags
+    flags = {
+        "score-captions": captions, "score-vqa": vqa_files, "score-all": [*flags, "--label", "toy"]
+    }[command]
+    result = _python("-m", "capvqa.cli", command, *flags, "--format", format)
     assert result.returncode == 0, result.stderr.decode()
-    golden = fixtures_dir / "golden" / f"score_all_report.{extension}"
+    golden = fixtures_dir / "golden" / f"{command.replace('-', '_')}_report.{extension}"
     assert result.stdout == golden.read_bytes()
+
+
+def test_package_imports_and_scores_with_numpy_blocked(fixtures_dir):
+    # The scorer depends on the standard library only: with every numpy
+    # import failing, the package, its star import and the command line load,
+    # `__all__` names exactly the package's public non-module attributes, and
+    # score-all runs.
+    result = _python("-c", (
+        "import os, sys, types\n"
+        "class BlockNumpy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'numpy':\n"
+        "            raise ImportError('numpy is blocked')\n"
+        "sys.meta_path.insert(0, BlockNumpy())\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    sys.exit('numpy imported')\n"
+        "import capvqa\n"
+        "from capvqa import *\n"
+        "import capvqa.cli\n"
+        "assert all(name in globals() for name in capvqa.__all__)\n"
+        "public = sorted(name for name, value in vars(capvqa).items()\n"
+        "                if not name.startswith('_') and not isinstance(value, types.ModuleType))\n"
+        "assert sorted(capvqa.__all__) == public, set(capvqa.__all__) ^ set(public)\n"
+        f"code = capvqa.cli.main({['score-all', *_fixture_flags(fixtures_dir)]!r}"
+        " + ['--output', os.devnull])\n"
+        "assert 'numpy' not in sys.modules\n"
+        "sys.exit(code)\n"
+    ))
+    assert result.returncode == 0, result.stderr.decode()
 
 
 def test_console_bad_flag_exits_2_with_one_line_before_reading_inputs(tmp_path):

@@ -52,6 +52,20 @@ def test_hand_computed_scores():
     )
 
 
+def test_banerjee_lavie_fragmentation_example():
+    # Banerjee and Lavie (2005), under the default MeteorParams: m = 4 matched
+    # unigrams in ch = 2 chunks ("a b", "c d"), P = 1, R = 4/5
+    candidate, reference = "a b c d".split(), "a b x c d".split()
+    alignment = align(candidate, reference)
+    assert (alignment.matches, alignment.chunks) == (4, 2)
+    result = meteor(candidate, [reference])
+    assert (result.precision, result.recall) == (1.0, 0.8)
+    # Fmean = 10PR / (R + 9P) = 8 / 9.8, the harmonic mean at alpha = 0.9
+    assert result.f_mean == pytest.approx(8 / 9.8, abs=1e-15)
+    assert result.penalty == 0.5 * (2 / 4) ** 3 == 0.0625
+    assert result.score == pytest.approx(8 / 9.8 * (1 - 0.0625), abs=1e-15)
+
+
 def test_disjoint_vocabulary_scores_zero():
     result = meteor("x y z".split(), ["a b c".split()])
     assert result.score == 0.0

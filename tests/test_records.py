@@ -22,7 +22,6 @@ from capvqa.meteor import MeteorAlignment, MeteorBreakdown, MeteorParams
 from capvqa.report import RankedEntry, ResultRow
 from capvqa.rouge import RougeBreakdown
 from capvqa.scoring import CaptionScores, ScoringConfig, SegmentScore
-from capvqa.text_norm import TokenizerConfig
 from capvqa.vqa import AccuracyResult, VqaItem, VqaPrediction
 
 _SPLIT = SplitScores("internal", 0.1, 0.2, 0.3, 1.5, 4)
@@ -54,7 +53,6 @@ SAMPLES = {
                    "bleu4": 0.1, "meteor": 0.2, "rouge_l": 0.3, "cider": 1.5},
     CaptionScores: {"internal": _SPLIT, "external": _SPLIT,
                     "segments": [SegmentScore("s1", "action", "vehicle", 0.1, 0.2, 0.3, 1.5)]},
-    TokenizerConfig: {"lowercase": False, "punctuation_policy": "strip"},
     VqaItem: {"id": "q1", "segment_id": "s1/action", "question": "Who?",
               "options": ["A man", "a car"], "gold": 1},
     VqaPrediction: {"id": "q1", "raw": "B"},
@@ -63,7 +61,6 @@ SAMPLES = {
 # the types that were frozen, and stay immutable
 FROZEN = (
     CiderCorpusIdf, FinalScore, MeteorParams, ScoringConfig, SegmentScore, SplitScores,
-    TokenizerConfig,
 )
 _TYPES = pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)
 
@@ -93,7 +90,6 @@ def test_equal_fields_make_equal_records(cls):
 def test_validated_records_differ_when_a_field_does():
     pairs = [
         (MeteorParams(), MeteorParams(gamma=0.25)),
-        (TokenizerConfig(), TokenizerConfig(lowercase=False)),
         (ScoringConfig(), ScoringConfig(cider_scale=1.0)),
         (CiderCorpusIdf(2, {1: {}}), CiderCorpusIdf(3, {1: {}})),
         (VqaItem("q1", "s", "?", ["a", "b"], 0), VqaItem("q1", "s", "?", ["a", "b"], 1)),
@@ -138,7 +134,6 @@ def test_defaults_are_kept():
     assert ValidationReport() == ValidationReport([], [])
     assert ValidationReport().is_empty()
     assert MeteorParams() == MeteorParams(0.9, 3.0, 0.5)
-    assert TokenizerConfig() == TokenizerConfig(True, "separate")
     assert ScoringConfig() == ScoringConfig(
         "hard-zero", "precision-ratio", MeteorParams(), 10.0, None
     )
@@ -167,10 +162,6 @@ def test_plain_records_are_named_tuples():
         (lambda: MeteorParams(beta=0.0), "beta must be a finite number > 0, got 0.0"),
         (lambda: MeteorParams(beta=math.inf), "beta must be a finite number > 0, got inf"),
         (lambda: MeteorParams(gamma=1.5), "gamma must be in [0, 1], got 1.5"),
-        (
-            lambda: TokenizerConfig(punctuation_policy="drop"),
-            "punctuation_policy must be one of ('separate', 'strip'), got 'drop'",
-        ),
         (
             lambda: ScoringConfig(bleu_zero_policy="Epsilon"),
             "bleu_zero_policy must be one of ('hard-zero', 'epsilon'), got 'Epsilon'",

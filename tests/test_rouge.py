@@ -41,6 +41,18 @@ def test_hand_evaluated_example():
     assert result.score == pytest.approx(POLICE_SCORE, abs=1e-12)
 
 
+@pytest.mark.parametrize("convention", ["precision-ratio", "recall-weighted"])
+def test_lin_sentence_level_lcs_example(convention):
+    # Lin (2004), section 3.1: against "police killed the gunman", S2 shares
+    # the in-sequence words "police the gunman" and S3 only "the gunman"
+    reference = "police killed the gunman".split()
+    for candidate, expected in (("police kill the gunman", 0.75), ("the gunman kill police", 0.5)):
+        # equal lengths give P = R, so every beta gives F = R
+        assert rouge_l(candidate.split(), reference, convention).score == pytest.approx(
+            expected, abs=1e-12
+        )
+
+
 def test_disjoint_sequences_score_zero():
     assert rouge_l("a b".split(), "c d".split()).score == 0.0
 

@@ -1,10 +1,6 @@
 import random
 
-import pytest
-
-from capvqa.text_norm import TokenizerConfig, tokenize
-
-STRIP = TokenizerConfig(punctuation_policy="strip")
+from capvqa.text_norm import tokenize
 
 
 def test_empty_input():
@@ -15,43 +11,25 @@ def test_separate_policy_splits_punctuation():
     assert tokenize("The cat sat.") == ["the", "cat", "sat", "."]
 
 
-def test_strip_policy_removes_punctuation():
-    assert tokenize("He wore a blue, hooded jacket", STRIP) == [
-        "he", "wore", "a", "blue", "hooded", "jacket",
-    ]
-
-
 def test_case_insensitive_by_default():
     assert tokenize("ABC") == tokenize("abc")
 
 
-def test_lowercasing_can_be_disabled():
-    assert tokenize("The Cat", TokenizerConfig(lowercase=False)) == ["The", "Cat"]
-
-
 def test_whitespace_runs_and_unicode_whitespace():
-    assert tokenize("a  b\t c\nd e") == ["a", "b", "c", "d", "e"]
+    assert tokenize("a  b\t c\nd e") == ["a", "b", "c", "d", "e"]
 
 
 def test_tokens_never_empty_or_spacey():
     for text in ["", " ", "a.b,c", '  "quoted"  ', "!?![]()"]:
-        for config in (TokenizerConfig(), STRIP):
-            for token in tokenize(text, config):
-                assert token
-                assert not any(ch.isspace() for ch in token)
+        for token in tokenize(text):
+            assert token
+            assert not any(ch.isspace() for ch in token)
 
 
-@pytest.mark.parametrize("policy", ["separate", "strip"])
-def test_idempotent_on_random_text(policy):
-    config = TokenizerConfig(punctuation_policy=policy)
+def test_idempotent_on_random_text():
     rng = random.Random(13)
     alphabet = "ab .,!?\t\"()[]XY"
     for _ in range(300):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
-        once = tokenize(text, config)
-        assert tokenize(" ".join(once), config) == once
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(ValueError):
-        TokenizerConfig(punctuation_policy="drop")
+        once = tokenize(text)
+        assert tokenize(" ".join(once)) == once
