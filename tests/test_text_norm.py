@@ -1,6 +1,9 @@
 import random
+import unicodedata
 
-from capvqa.text_norm import tokenize
+import pytest
+
+from capvqa.text_norm import PUNCTUATION, tokenize
 
 
 def test_empty_input():
@@ -11,12 +14,38 @@ def test_separate_policy_splits_punctuation():
     assert tokenize("The cat sat.") == ["the", "cat", "sat", "."]
 
 
+@pytest.mark.parametrize("mark", PUNCTUATION)
+def test_each_punctuation_mark_is_its_own_token(mark):
+    assert tokenize(f"a{mark}b {mark}{mark}") == ["a", mark, "b", mark, mark]
+
+
+@pytest.mark.parametrize("word", ["man's", "t-shirt", "50%", "a/b"])
+def test_other_symbols_stay_inside_the_word(word):
+    assert tokenize(f"A {word.upper()}.") == ["a", word, "."]
+
+
+def test_tokenize_takes_no_config():
+    with pytest.raises(TypeError):
+        tokenize("a b", config=None)
+
+
 def test_case_insensitive_by_default():
     assert tokenize("ABC") == tokenize("abc")
 
 
 def test_whitespace_runs_and_unicode_whitespace():
     assert tokenize("a  b\t c\nd e") == ["a", "b", "c", "d", "e"]
+
+
+@pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u3000", "\u2028", "\x1c"])
+def test_any_unicode_whitespace_separates(space):
+    assert tokenize(f"a{space}b{space}") == ["a", "b"]
+
+
+def test_non_ascii_letters_are_lowercased_but_not_normalized():
+    assert tokenize("ÉTÉ Straße") == ["été", "straße"]
+    decomposed = unicodedata.normalize("NFD", "café")
+    assert tokenize(decomposed) == [decomposed] != tokenize("café")
 
 
 def test_tokens_never_empty_or_spacey():
