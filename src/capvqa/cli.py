@@ -164,17 +164,16 @@ def _check_vqa_segments(known: set[str], items: list[vqa.VqaItem]) -> None:
 def _score_vqa_files(args, gt: dataset_io.ScenarioSet | None = None) -> vqa.AccuracyResult:
     """VQA accuracy; under `--strict`, every question's segment must be in `gt` if given.
 
-    A large gold file is scored in shares, one per CPU. A small one, and
-    any fault in any share, takes the checked serial path, which alone
-    reports errors: the gold file is checked before the answers are read.
+    The files are scored in shares, one per CPU (`vqa_shares`). On any
+    fault, the checked serial loaders and `vqa.accuracy` score them
+    again, and they alone report errors: the gold file is checked before
+    the answers are read.
     """
+    from . import vqa_shares  # imported here, so `import capvqa.cli` does not compile it
+
     policy = "strict" if args.strict else "missing-is-wrong"
     known = _segment_ids(gt) if args.strict and gt is not None else None
-    result = None
-    if dataset_io.vqa_share_count(args.gt_vqa) > 1:
-        from . import vqa_shares  # imported here: a run that cannot split need not compile it
-
-        result = vqa_shares.score_vqa_in_shares(args.gt_vqa, args.pred_vqa, policy, known)
+    result = vqa_shares.score_vqa_in_shares(args.gt_vqa, args.pred_vqa, policy, known)
     if result is None:
         items = dataset_io.load_vqa_items(args.gt_vqa)
         if known is not None:

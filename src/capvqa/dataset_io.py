@@ -22,11 +22,9 @@ by `validate`, so partial submissions can still be inspected.
 import contextlib
 import gc
 import json
-import os
 from pathlib import Path
 from typing import Any, NamedTuple
 
-from . import forking
 from .errors import SchemaError
 from .vqa import VqaItem, VqaPrediction, _bare_item, _set_normalized_options, _shape_error
 
@@ -38,14 +36,6 @@ _RECORD_TYPES = (VqaItem, VqaPrediction)
 # file, one call for the whole file peaked 20.4 MB above the loaded items,
 # against 4.9 MB in blocks, and took 6,100 more page faults.
 _BLOCK_QUESTIONS = 4096
-# Gold-file bytes a VQA share must have, or the command line scores the
-# file in one process, where a fork, its pipe and its reap cost more
-# than the share saves. On a 2-CPU Xeon KVM guest, 16 alternating cold
-# `score-vqa` runs each on the first questions of a vqa-bulk gold file,
-# two shares against one process (median saving): 225 KB -1.0 ms, 327 KB
-# -0.4 ms, 452 KB +4.2 ms (14 of 16 faster), 609 KB +9.8 ms (12 of 16).
-# So two shares start at 450 KB.
-MIN_SHARE_BYTES = 225_000
 
 
 class Segment(NamedTuple):
@@ -222,19 +212,6 @@ def gc_paused():
     finally:
         if enabled:
             gc.enable()
-
-
-def vqa_share_count(path) -> int:
-    """How many shares `vqa_shares.score_vqa_in_shares` would cut the gold file at `path` into.
-
-    One per CPU of the process's affinity set, and at most one per
-    `MIN_SHARE_BYTES` of the file; 0 for a file that cannot be read. Below
-    two, the file is scored in one process, without importing `vqa_shares`.
-    """
-    try:
-        return min(forking._cpu_count(), os.path.getsize(path) // MIN_SHARE_BYTES)
-    except OSError:
-        return 0
 
 
 def _vqa_document(path, build, records: str):

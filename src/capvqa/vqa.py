@@ -32,15 +32,15 @@ NO_ANSWER = None
 MISSING_POLICIES = ("missing-is-wrong", "strict")
 
 # Answers a forked chunk of the library's `accuracy` must hold, or it
-# resolves them serially. The command line forks before it reads the
-# gold file instead (`dataset_io.MIN_SHARE_BYTES`), and calls `accuracy`
-# only for small or faulty files. An answer takes about 2-4 us, against
-# 0.3 ms for a caption unit. On a 2-CPU Xeon KVM guest holding vqa-bulk's
-# 80 MB heap of loaded items, forking, exiting and reaping a child took
-# 3.5 ms, and each chunk then paid about 0.5 us per answer in
-# copy-on-write faults. Split in two, 10,000 answers lost 2.5 ms and
-# 20,000, 30,000 and 50,000 saved 6.6, 14.5 and 31 ms, so a chunk of
-# 10,000 saves about twice a fork's cost.
+# resolves them serially. The command line scores its files in
+# `vqa_shares` instead, and calls `accuracy` only to name a fault in
+# them. An answer takes about 2-4 us, against 0.3 ms for a caption unit.
+# On a 2-CPU Xeon KVM guest holding vqa-bulk's 80 MB heap of loaded
+# items, forking, exiting and reaping a child took 3.5 ms, and each
+# chunk then paid about 0.5 us per answer in copy-on-write faults. Split
+# in two, 10,000 answers lost 2.5 ms and 20,000, 30,000 and 50,000 saved
+# 6.6, 14.5 and 31 ms, so a chunk of 10,000 saves about twice a fork's
+# cost.
 MIN_CHUNK_ANSWERS = 10_000
 
 # a strict failure names this many missing ids, so its message stays one short line

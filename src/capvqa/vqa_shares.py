@@ -1,14 +1,16 @@
-"""VQA accuracy of a large pair of files, scored in one forked share per CPU.
+"""VQA accuracy of a pair of files, scored in one forked share per CPU.
 
-The command line's fast path (`score_vqa_in_shares`). It reads the
-answers, forks, and has each share read, parse and score its own byte
-range of the gold file, a piece at a time, so no record object per
-question is built and no question outlives its piece. It reports no
-error: on any fault it returns None, and the caller loads the files
-with `dataset_io.load_vqa_items` and `dataset_io.load_vqa_predictions`
-and scores them with `vqa.accuracy`, which say what is wrong. The cli
-imports this module only for a gold file of two shares or more
-(`dataset_io.vqa_share_count`), so no other run compiles it.
+The command line's one path for a clean VQA pair (`score_vqa_in_shares`).
+It reads the answers, forks, and has each share read, parse and score
+its own byte range of the gold file, a piece at a time, so no record
+object per question is built and no question outlives its piece. A gold
+file under two `MIN_SHARE_BYTES`, or a process on one CPU, is one share,
+scored by the caller without a fork. It reports no error: on any fault
+it returns None, and the caller loads the files with
+`dataset_io.load_vqa_items` and `dataset_io.load_vqa_predictions` and
+scores them with `vqa.accuracy`, which say what is wrong. The cli
+imports this module only when it scores a VQA pair, so `import
+capvqa.cli` does not compile it.
 """
 
 import itertools
@@ -19,8 +21,17 @@ from array import array
 from functools import partial
 
 from . import forking, vqa
-from .dataset_io import _answer_hook, _question_hook, _vqa_document, vqa_share_count
+from .dataset_io import _answer_hook, _question_hook, _vqa_document
 
+# Gold-file bytes a share must have, or the file is cut into fewer
+# shares, where a fork, its pipe and its reap cost more than the share
+# saves. On a 2-CPU Xeon KVM guest, 24 alternating cold `score-vqa` runs
+# each on the first questions of a vqa-bulk gold file, two shares
+# against one (median saving, and how often two were faster): 225 KB
+# -2.3 ms (10 of 24), 327 KB +0.4 ms (12), 452 KB +4.6 ms (18), 610 KB
+# +9.4 ms (23). A repeat with 32 runs each agreed. So two shares start
+# at 450 KB.
+MIN_SHARE_BYTES = 225_000
 # Gold-file bytes a share reads, parses and scores at a time, about 4,600
 # vqa-bulk questions, near `dataset_io._BLOCK_QUESTIONS`. A share holds
 # one piece's text and rows at once, so its memory does not grow with
@@ -34,8 +45,8 @@ _CUT = re.compile(rb"\}[ \t\n\r]*,[ \t\n\r]*\{")
 # The fewest bytes a question a share keeps can span:
 # {"id":"","segment":"","question":"","options":[0,0],"correct":0}
 _MIN_QUESTION_BYTES = 64
-_WHITESPACE = json.decoder.WHITESPACE.match  # what the parser skips between tokens
-_DECODER = json.JSONDecoder()
+# What a piece is parsed inside of, unless it starts or ends the file
+_ROOT_START, _ROOT_END = '{"questions": [', "]}"
 
 
 def score_vqa_in_shares(
@@ -44,19 +55,20 @@ def score_vqa_in_shares(
     """`vqa.accuracy` of the two files, each CPU scoring a share of the questions.
 
     The answers are read into one id -> raw dict. Then the gold file is
-    scored in `dataset_io.vqa_share_count` shares by `forking.map_chunks`:
-    the caller scores the first share, a forked child each other one. No
-    share's bytes are read before the fork. Each share reads its own
-    byte range of the file (`_pieces`), a piece at a time, and scores
-    each piece as soon as it is parsed, so no question outlives its
-    piece. When `segments`, a set of `scenario/phase` ids, is given,
-    every question's segment must be in it.
+    scored in one share per CPU, and at most one per `MIN_SHARE_BYTES`,
+    by `forking.map_chunks`: the caller scores the first share, a forked
+    child each other one, so one share runs without a fork. No share's
+    bytes are read before the fork. Each share reads its own byte range
+    of the file (`_pieces`), a piece at a time, and scores each piece as
+    soon as it is parsed, so no question outlives its piece. When
+    `segments`, a set of `scenario/phase` ids, is given, every question's
+    segment must be in it.
 
-    Returns None for a gold file too small to split, and for any fault in
-    either file, from an unreadable file to a missing answer under the
-    strict policy: the caller then loads the files with `load_vqa_items`
-    and `load_vqa_predictions` and scores them with `vqa.accuracy`, which
-    alone report every error, the gold file's before the answers'.
+    Returns None for any fault in either file, from an unreadable file to
+    a missing answer under the strict policy: the caller then loads the
+    files with `load_vqa_items` and `load_vqa_predictions` and scores
+    them with `vqa.accuracy`, which alone report every error, the gold
+    file's before the answers'.
     """
     by_id = {}
 
@@ -64,8 +76,7 @@ def score_vqa_in_shares(
         by_id[answer_id] = raw
         return _KEPT
 
-    shares = vqa_share_count(gold_path)
-    if shares < 2 or missing_policy not in vqa.MISSING_POLICIES:
+    if missing_policy not in vqa.MISSING_POLICIES:
         return None
     try:
         with open(gold_path, "rb") as gold:
@@ -75,6 +86,7 @@ def score_vqa_in_shares(
             if not len(answers) == answers.count(_KEPT) == len(by_id):
                 return None
             del answers
+            shares = max(1, min(forking._cpu_count(), size // MIN_SHARE_BYTES))
             most = size // _MIN_QUESTION_BYTES + 1  # questions in any share
             solve = partial(
                 _score_share, gold.fileno(), size, shares, by_id,
@@ -122,8 +134,9 @@ def _pieces(file_no: int, size: int, shares: int, chunk: range):
     to the file's end. Every other piece stops at the first cut at least
     `_PIECE_BYTES` past its start, or at its share's stop. A cut can lie
     inside a string or a nested value, but `_score_share` fails its piece
-    then: parsed from a record's start, a piece parses only if it also
-    stops at a record's end. Raises ValueError where a share finds no cut.
+    then: parsed as the root's list from a record's start, a piece parses
+    only if it also stops at a record's end. Raises ValueError where a
+    share finds no cut.
     """
 
     def share_cut(share: int) -> tuple[int, int]:
@@ -144,60 +157,6 @@ def _pieces(file_no: int, size: int, shares: int, chunk: range):
     yield start, stop
 
 
-def _member_value(text: str, at: int) -> tuple[str, int]:
-    """The key of the object member whose key starts at `at`, and where its value starts."""
-    if text[at : at + 1] != '"':
-        raise ValueError("not a key")
-    key, at = json.decoder.scanstring(text, at + 1)
-    at = _WHITESPACE(text, at).end()
-    if text[at : at + 1] != ":":
-        raise ValueError("no colon after a key")
-    return key, _WHITESPACE(text, at + 1).end()
-
-
-def _first_question(text: str) -> int:
-    """Where the first record of the root's `questions` list starts.
-
-    Walks the root's members as `json.loads` does, parsing the value of
-    each before the first `questions` key. Raises ValueError for what
-    the parser would reject on the way, for a root or a list that is not
-    there or is empty, and where `text` ends first.
-    """
-    at = _WHITESPACE(text, 0).end()
-    if text[at : at + 1] != "{":
-        raise ValueError("the root is not an object")
-    at = _WHITESPACE(text, at + 1).end()
-    while True:
-        key, at = _member_value(text, at)
-        if key == "questions":
-            break
-        at = _WHITESPACE(text, _DECODER.raw_decode(text, at)[1]).end()
-        if text[at : at + 1] != ",":
-            raise ValueError("no questions member")
-        at = _WHITESPACE(text, at + 1).end()
-    if text[at : at + 1] != "[":
-        raise ValueError("questions is not a list")
-    at = _WHITESPACE(text, at + 1).end()
-    if text[at : at + 1] == "]":
-        raise ValueError("no question")
-    return at
-
-
-def _check_root_end(text: str, at: int) -> None:
-    """Raise ValueError unless the root's members after its list at `at` parse.
-
-    A second `questions` member fails too: `json.loads` keeps the last.
-    """
-    at = _WHITESPACE(text, at).end()
-    while text[at : at + 1] == ",":
-        key, at = _member_value(text, _WHITESPACE(text, at + 1).end())
-        if key == "questions":
-            raise ValueError("a second questions member")
-        at = _WHITESPACE(text, _DECODER.raw_decode(text, at)[1]).end()
-    if text[at : at + 1] != "}" or _WHITESPACE(text, at + 1).end() != len(text):
-        raise ValueError("not the root's end")
-
-
 def _score_share(
     file_no: int, size: int, shares: int, by_id: dict, strict: bool, segments, most: int,
     chunk: range,
@@ -207,13 +166,15 @@ def _score_share(
     Reads and scores the shares' pieces one at a time: the hook keeps each
     question record of a piece as a row and frees its dict, and the rows
     are normalized, checked and resolved before the next piece is read.
-    The first piece of the file is parsed from the list's first record
-    (`_first_question`); the last one up to the list's end, and the rest
-    of the root is checked. The hashes, one per question, are padded to
-    `most`. A fault is anything `load_vqa_items` or `vqa.accuracy` might
-    reject, and some things they accept (a question-shaped dict nested in
-    a question, or a `}, {` inside a string where a cut fell); no fault is
-    told apart from another.
+    Each piece is parsed as part of the root: between `_ROOT_START`,
+    unless it starts the file, and `_ROOT_END`, unless it ends the file.
+    The root must be an object whose `questions` is a list, and a piece
+    that the file goes on past must end in that list, the root's last
+    member. The hashes, one per question, are padded to `most`. A fault
+    is anything `load_vqa_items` or `vqa.accuracy` might reject, and some
+    things they accept (a question-shaped dict outside the list or nested
+    in a question, or a `}, {` inside a string where a cut fell); no
+    fault is told apart from another.
     """
     values = array("q", bytes(8 * (3 + most)))
     values[0] = 1  # a fault until every check has passed
@@ -228,14 +189,17 @@ def _score_share(
     try:
         for start, stop in _pieces(file_no, size, shares, chunk):
             text = os.pread(file_no, (size if stop is None else stop) - start, start).decode()
-            at = _first_question(text) if start == 0 else 0
-            if stop is None:
-                records, end = decoder.raw_decode("".join(("[", text[at:])))
-                _check_root_end(text, at + end - 1)
-            else:
-                records = decoder.decode("".join(("[", text[at:], "]")))
-            # every record is a question, and every question a record
-            if not len(records) == len(rows) == records.count(_KEPT) <= most - questions:
+            root = decoder.decode("".join((
+                "" if start == 0 else _ROOT_START, text, "" if stop is None else _ROOT_END
+            )))
+            # the root's `questions` is a list, its last member where the file
+            # goes on, and every record in it a question, and every question a record
+            if not (
+                type(root) is dict
+                and type(records := root.get("questions")) is list
+                and (stop is None or next(reversed(root)) == "questions")
+                and 0 < len(records) == len(rows) == records.count(_KEPT) <= most - questions
+            ):
                 return values
             item_ids, options, golds, segment_ids = zip(*rows)
             rows.clear()

@@ -399,9 +399,10 @@ def test_main_runs_without_gc_and_leaves_it_as_it_found_it(
     tmp_path, fixtures_dir, capsys, monkeypatch, enabled
 ):
     states = []
-    accuracy = cli.vqa.accuracy
+    count_correct = cli.vqa._count_correct
     monkeypatch.setattr(
-        cli.vqa, "accuracy", lambda *args, **kwargs: states.append(gc.isenabled()) or accuracy(*args, **kwargs)
+        cli.vqa, "_count_correct",
+        lambda *args: states.append(gc.isenabled()) or count_correct(*args),
     )
     bad = tmp_path / "gold.json"
     bad.write_text('{"questions": [3]}', encoding="utf-8")

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import capvqa
-from capvqa import scoring, vqa
-from capvqa.dataset_io import PHASES
+from capvqa import scoring, vqa, vqa_shares
+from capvqa.dataset_io import PHASES, load_vqa_items, load_vqa_predictions
 
 _SRC = str(Path(capvqa.__file__).resolve().parent.parent)
 _ENV = {
@@ -59,6 +59,8 @@ def test_neither_import_nor_score_all_loads_dataclasses_or_inspect(fixtures_dir)
     baseline = set(bare.stdout.decode().split())
     imported, scored = (set(line.split()) for line in probe.stdout.decode().splitlines())
     assert "capvqa.cli" in imported and "capvqa.cli" not in baseline
+    # the VQA shares are compiled only by a run that scores a VQA pair
+    assert "capvqa.vqa_shares" not in imported and "capvqa.vqa_shares" in scored
     for loaded in (imported, scored):
         assert not {"dataclasses", "inspect"} & (loaded - baseline)
     # only `vqa.accuracy` builds a Fraction; `fractions` loads `decimal`, 3.5 ms
@@ -177,19 +179,28 @@ def _write_corpus(directory: Path, scenarios: int, questions: int, rng: random.R
 )
 def test_forked_and_one_cpu_runs_print_the_same_bytes(tmp_path):
     scenarios, questions = 16, 2 * vqa.MIN_CHUNK_ANSWERS + 100
-    # on two CPUs both map_chunks callers cut two chunks, so both fork
+    # on two CPUs caption scoring cuts two chunks and the VQA gold file two
+    # shares, so both fork; on one CPU the gold file is one share
     units = scenarios * len(PHASES) * len(scoring.PERSPECTIVES)
     assert units >= 2 * scoring.MIN_CHUNK_UNITS
     files = _write_corpus(tmp_path, scenarios, questions, random.Random(20))
-    argv = ["-m", "capvqa.cli", "score-all", *_input_flags(*files), "--format", "json"]
-    every_cpu = _python(*argv)
-    one_cpu = _python(
-        *argv, preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    )
-    assert every_cpu.returncode == one_cpu.returncode == 0, every_cpu.stderr + one_cpu.stderr
-    assert every_cpu.stdout == one_cpu.stdout
-    report = json.loads(every_cpu.stdout)
-    assert 0.0 < report["acc"] < 1.0 and report["internal"]["segments"] > 0
+    assert os.path.getsize(files[2]) >= 2 * vqa_shares.MIN_SHARE_BYTES
+    flags = _input_flags(*files)
+    reports = []
+    for command, command_flags in (("score-all", flags), ("score-vqa", flags[4:])):
+        argv = ["-m", "capvqa.cli", command, *command_flags, "--format", "json"]
+        every_cpu = _python(*argv)
+        one_cpu = _python(
+            *argv, preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        )
+        assert every_cpu.returncode == one_cpu.returncode == 0, every_cpu.stderr + one_cpu.stderr
+        assert every_cpu.stdout == one_cpu.stdout
+        reports.append(json.loads(every_cpu.stdout))
+    all_report, vqa_report = reports
+    assert 0.0 < all_report["acc"] < 1.0 and all_report["internal"]["segments"] > 0
+    # the shares agree with the library's loaders and accuracy
+    expected = vqa.accuracy(load_vqa_items(files[2]), load_vqa_predictions(files[3]))
+    assert (vqa_report["total"], vqa_report["correct"]) == (expected.total, expected.correct)
 
 
 _RUN_PY = Path(_SRC).parent / "perfbench" / "run.py"

@@ -1,11 +1,14 @@
-"""VQA files scored in shares, one forked process per CPU, against the serial path.
+"""VQA files scored in shares, one forked process per CPU, against the library.
 
-`vqa_shares.score_vqa_in_shares` cuts the gold file into one byte range
-per share, of about equal length, so in the generated files of 4,000
-questions question k lies in share k * shares // 4000, give or take the
-question at a cut. Every test that forces the CPU count to 1, 2 and 3
-also cuts shares into pieces of about 440 questions: one CPU takes the
-serial path, two and three fork one and two children.
+`vqa_shares.score_vqa_in_shares`, the command line's one path for a
+clean VQA pair, cuts the gold file into one byte range per share, of
+about equal length, so in the generated files of 4,000 questions
+question k lies in share k * shares // 4000, give or take the question
+at a cut. Every test that forces the CPU count to 1, 2 and 3 also cuts
+shares into pieces of about 440 questions: one CPU scores one share in
+the caller without a fork, two and three fork one and two children. On
+a fault the command line scores the files again with the library's
+loaders and `vqa.accuracy`, which name it.
 """
 
 import json
@@ -93,12 +96,8 @@ def test_shares_equal_the_library_accuracy(split, bulk, cpus):
     expected = accuracy(load_vqa_items(gold), load_vqa_predictions(answers))
     assert 0 < expected.correct < expected.total == 25_000
     forks = split(cpus)
-    result = vqa_shares.score_vqa_in_shares(gold, answers)
-    if cpus == 1:
-        assert result is None and forks == []
-    else:
-        assert result == expected
-        assert len(forks) == cpus - 1
+    assert vqa_shares.score_vqa_in_shares(gold, answers) == expected
+    assert len(forks) == cpus - 1
     _assert_no_child_left()
 
 
@@ -120,7 +119,7 @@ def _faulty(tmp_path, faults: dict, count: int = 4_000) -> tuple[str, str]:
     for index, record in faults.items():
         questions[index] = record
     assert os.path.getsize(_write(tmp_path / "gold.json", "questions", questions)) > (
-        3 * dataset_io.MIN_SHARE_BYTES
+        3 * vqa_shares.MIN_SHARE_BYTES
     )
     return str(tmp_path / "gold.json"), _write(tmp_path / "answers.json", "answers", answers)
 
@@ -272,6 +271,8 @@ def test_strict_reports_missing_answers_and_stray_segments(split, tmp_path, caps
 
 @pytest.mark.parametrize("name", ["fixture", "below two shares"])
 def test_a_small_gold_file_scores_without_forking(monkeypatch, tmp_path, capsys, name):
+    # one share, scored by the caller: neither the library loader nor
+    # `accuracy` runs on a clean file
     if name == "fixture":
         gold = os.path.join(FIXTURES, "vqa_gold.json")
         answers = os.path.join(FIXTURES, "vqa_pred.json")
@@ -279,16 +280,17 @@ def test_a_small_gold_file_scores_without_forking(monkeypatch, tmp_path, capsys,
         questions, answers = _questions(1_500)
         gold = _write(tmp_path / "gold.json", "questions", questions)
         answers = _write(tmp_path / "answers.json", "answers", answers)
-        assert dataset_io.MIN_SHARE_BYTES < os.path.getsize(gold) < (
-            2 * dataset_io.MIN_SHARE_BYTES
+        assert vqa_shares.MIN_SHARE_BYTES < os.path.getsize(gold) < (
+            2 * vqa_shares.MIN_SHARE_BYTES
         )
     expected = accuracy(load_vqa_items(gold), load_vqa_predictions(answers))
 
-    def no_fork():
-        raise AssertionError("a small gold file forked")
+    def never(*args, **kwargs):
+        raise AssertionError("a clean small gold file forked or took the serial path")
 
     monkeypatch.setattr(forking, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(os, "fork", no_fork)
+    for module, name in ((os, "fork"), (dataset_io, "load_vqa_items"), (cli.vqa, "accuracy")):
+        monkeypatch.setattr(module, name, never)
     assert cli.main(["score-vqa", "--gt-vqa", gold, "--pred-vqa", answers,
                      "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -336,6 +338,14 @@ def _layout(name: str) -> str:
             "version": 1, "meta": {"questions": [1]}, "questions": questions,
             "note": [{"a": 1}, {"b": 2}],
         })
+    if name == "a question in a list after the questions, past a cut":
+        # a piece ends at the cut after the long dict, in "after"; the
+        # next one holds only the question
+        return json.dumps({
+            "questions": questions, "after": [{"note": "x" * 150_000}, _question(99_996)],
+        })
+    if name == "a question in a member before the questions":
+        return json.dumps({"before": _question(99_997), "questions": questions})
     if name == "cuts inside strings":
         return json.dumps({"questions": [dict(q, question="a}, {b") for q in questions]})
     if name == "a first list json.loads drops":
@@ -356,7 +366,9 @@ def _layout(name: str) -> str:
 LAYOUTS = [
     "indented", "indented with CRLF", "members around the list",
     "a question longer than a search window",
-    "a long list of dicts before the questions", "cuts inside strings",
+    "a long list of dicts before the questions",
+    "a question in a list after the questions, past a cut",
+    "a question in a member before the questions", "cuts inside strings",
     "a first list json.loads drops", "a second, empty list", "a byte order mark",
     "data after the root", "the root a list", "a value nested too deeply",
 ]
@@ -375,13 +387,16 @@ def test_every_layout_scores_or_fails_as_one_process_does(
     serial = (cli.main(argv), *capsys.readouterr())
     forks = split(cpus)
     assert (cli.main(argv), *capsys.readouterr()) == serial
+    if serial[0] == 0:
+        report = json.loads(serial[1])
+        expected = accuracy(load_vqa_items(gold), load_vqa_predictions(answers))
+        assert (report["total"], report["correct"]) == (expected.total, expected.correct)
     if layout in (
         "indented", "indented with CRLF", "members around the list",
         "a question longer than a search window",
     ):
         # these the shares score themselves
         assert serial[0] == 0 and len(forks) == cpus - 1
-        report = json.loads(serial[1])
         assert vqa_shares.score_vqa_in_shares(str(gold), answers)[:2] == (
             report["total"], report["correct"],
         )
