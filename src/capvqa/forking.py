@@ -17,9 +17,9 @@ a reference count included, costs the child a copy-on-write fault, about
 * `scoring.score_captions` forks over raw caption text, and each chunk
   tokenizes and scores its own units;
 * `vqa_shares.score_vqa_in_shares`, the command line's VQA path, forks
-  before it reads the gold file: the work is the list of shares, and
-  each share reads, parses and scores its own byte range of the file, so
-  a child writes hardly any of the caller's pages but those of the
+  before it reads the gold file: the work is the file's byte offsets,
+  and each share reads, parses and scores its own byte range, so a
+  child writes hardly any of the caller's pages but those of the
   answers it looks up;
 * `vqa.accuracy`, a library call on loaded items, forks over them and
   pays the faults (`vqa.MIN_CHUNK_ANSWERS`); the command line calls it

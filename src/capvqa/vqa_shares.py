@@ -23,14 +23,14 @@ from functools import partial
 from . import forking, vqa
 from .dataset_io import _answer_hook, _question_hook, _vqa_document
 
-# Gold-file bytes a share must have, or the file is cut into fewer
-# shares, where a fork, its pipe and its reap cost more than the share
-# saves. On a 2-CPU Xeon KVM guest, 24 alternating cold `score-vqa` runs
-# each on the first questions of a vqa-bulk gold file, two shares
-# against one (median saving, and how often two were faster): 225 KB
-# -2.3 ms (10 of 24), 327 KB +0.4 ms (12), 452 KB +4.6 ms (18), 610 KB
-# +9.4 ms (23). A repeat with 32 runs each agreed. So two shares start
-# at 450 KB.
+# Gold-file bytes a share must have (`forking.map_chunks`'s `min_chunk`
+# over the file's bytes), or the file is cut into fewer shares, where a
+# fork, its pipe and its reap cost more than the share saves. On a
+# 2-CPU Xeon KVM guest, 24 alternating cold `score-vqa` runs each on the
+# first questions of a vqa-bulk gold file, two shares against one
+# (median saving, and how often two were faster): 225 KB -2.3 ms (10 of
+# 24), 327 KB +0.4 ms (12), 452 KB +4.6 ms (18), 610 KB +9.4 ms (23). A
+# repeat with 32 runs each agreed. So two shares start at 450 KB.
 MIN_SHARE_BYTES = 225_000
 # Gold-file bytes a share reads, parses and scores at a time, about 4,600
 # vqa-bulk questions, near `dataset_io._BLOCK_QUESTIONS`. A share holds
@@ -45,8 +45,9 @@ _CUT = re.compile(rb"\}[ \t\n\r]*,[ \t\n\r]*\{")
 # The fewest bytes a question a share keeps can span:
 # {"id":"","segment":"","question":"","options":[0,0],"correct":0}
 _MIN_QUESTION_BYTES = 64
-# What a piece is parsed inside of, unless it starts or ends the file
-_ROOT_START, _ROOT_END = '{"questions": [', "]}"
+# The members of an object as (key, value) pairs, in order: a repeated
+# key stays, where a dict keeps only its last value
+_MEMBERS = json.JSONDecoder(object_pairs_hook=list)
 
 
 def score_vqa_in_shares(
@@ -54,15 +55,15 @@ def score_vqa_in_shares(
 ) -> vqa.AccuracyResult | None:
     """`vqa.accuracy` of the two files, each CPU scoring a share of the questions.
 
-    The answers are read into one id -> raw dict. Then the gold file is
-    scored in one share per CPU, and at most one per `MIN_SHARE_BYTES`,
-    by `forking.map_chunks`: the caller scores the first share, a forked
-    child each other one, so one share runs without a fork. No share's
-    bytes are read before the fork. Each share reads its own byte range
-    of the file (`_pieces`), a piece at a time, and scores each piece as
-    soon as it is parsed, so no question outlives its piece. When
-    `segments`, a set of `scenario/phase` ids, is given, every question's
-    segment must be in it.
+    The answers are read into one id -> raw dict. Then
+    `forking.map_chunks` cuts the gold file's bytes into one share per
+    CPU, and at most one per `MIN_SHARE_BYTES`: the caller scores the
+    first share, a forked child each other one, so one share runs
+    without a fork. No share's bytes are read before the fork. Each
+    share reads its own byte range of the file (`_pieces`), a piece at a
+    time, and scores each piece as soon as it is parsed, so no question
+    outlives its piece. When `segments`, a set of `scenario/phase` ids,
+    is given, every question's segment must be in it.
 
     Returns None for any fault in either file, from an unreadable file to
     a missing answer under the strict policy: the caller then loads the
@@ -86,13 +87,14 @@ def score_vqa_in_shares(
             if not len(answers) == answers.count(_KEPT) == len(by_id):
                 return None
             del answers
-            shares = max(1, min(forking._cpu_count(), size // MIN_SHARE_BYTES))
             most = size // _MIN_QUESTION_BYTES + 1  # questions in any share
             solve = partial(
-                _score_share, gold.fileno(), size, shares, by_id,
-                missing_policy == "strict", segments, most,
+                _score_share, gold.fileno(), size, by_id, missing_policy == "strict",
+                segments, most,
             )
-            counts = forking.map_chunks(range(shares), solve, lambda chunk_size: 3 + most, 1)
+            counts = forking.map_chunks(
+                range(size), solve, lambda chunk_size: 3 + most, MIN_SHARE_BYTES
+            )
     except (OSError, RecursionError, ValueError):  # SchemaError is a ValueError
         return None
     fault, total, correct = map(sum, zip(*(values[:3] for values in counts)))
@@ -125,28 +127,28 @@ def _cut_after(file_no: int, at: int) -> tuple[int, int] | None:
         window *= 2
 
 
-def _pieces(file_no: int, size: int, shares: int, chunk: range):
-    """Byte ranges `(start, stop)` of the pieces of `chunk`'s shares, in file order.
+def _pieces(file_no: int, size: int, chunk: range):
+    """Byte ranges `(start, stop)` of the pieces of the share `chunk`, in file order.
 
-    Share k starts after the first `_CUT` at or past byte `size * k //
-    shares`, and stops where share k + 1 starts; share 0 starts at the
-    file's start, and the last share's last piece has stop None: it runs
-    to the file's end. Every other piece stops at the first cut at least
-    `_PIECE_BYTES` past its start, or at its share's stop. A cut can lie
-    inside a string or a nested value, but `_score_share` fails its piece
-    then: parsed as the root's list from a record's start, a piece parses
-    only if it also stops at a record's end. Raises ValueError where a
-    share finds no cut.
+    `chunk` is a range of the file's byte offsets. The share starts at
+    the file's start, or after the first `_CUT` at or past `chunk.start`,
+    and stops where the next share starts; the last share's last piece
+    has stop None: it runs to the file's end. Every other piece stops at
+    the first cut at least `_PIECE_BYTES` past its start, or at its
+    share's stop. A cut can lie inside a string or a nested value, but
+    `_score_share` fails its piece then: parsed from a record's start, a
+    piece parses only if it also stops at a record's end. Raises
+    ValueError where a share finds no cut.
     """
 
-    def share_cut(share: int) -> tuple[int, int]:
-        cut = _cut_after(file_no, size * share // shares)
+    def share_cut(at: int) -> tuple[int, int]:
+        cut = _cut_after(file_no, at)
         if cut is None:
             raise ValueError("no cut for a share")
         return cut
 
     start = 0 if chunk.start == 0 else share_cut(chunk.start)[1]
-    stop = None if chunk.stop == shares else share_cut(chunk.stop)[0]
+    stop = None if chunk.stop == size else share_cut(chunk.stop)[0]
     if stop is not None and stop <= start:
         raise ValueError("an empty share")
     while (cut := _cut_after(file_no, start + _PIECE_BYTES)) is not None and (
@@ -158,23 +160,23 @@ def _pieces(file_no: int, size: int, shares: int, chunk: range):
 
 
 def _score_share(
-    file_no: int, size: int, shares: int, by_id: dict, strict: bool, segments, most: int,
-    chunk: range,
+    file_no: int, size: int, by_id: dict, strict: bool, segments, most: int, chunk: range
 ) -> array:
-    """`array("q", [fault, questions, correct, *id hashes])` of `chunk`'s shares.
+    """`array("q", [fault, questions, correct, *id hashes])` of the share `chunk`.
 
-    Reads and scores the shares' pieces one at a time: the hook keeps each
+    Reads and scores the share's pieces one at a time: the hook keeps each
     question record of a piece as a row and frees its dict, and the rows
     are normalized, checked and resolved before the next piece is read.
-    Each piece is parsed as part of the root: between `_ROOT_START`,
-    unless it starts the file, and `_ROOT_END`, unless it ends the file.
-    The root must be an object whose `questions` is a list, and a piece
-    that the file goes on past must end in that list, the root's last
-    member. The hashes, one per question, are padded to `most`. A fault
-    is anything `load_vqa_items` or `vqa.accuracy` might reject, and some
-    things they accept (a question-shaped dict outside the list or nested
-    in a question, or a `}, {` inside a string where a cut fell); no
-    fault is told apart from another.
+    The file's first piece is parsed as the root, closed by "]}" where
+    the file goes on: an object whose `questions` is a list, its last
+    member then. Every other piece is parsed as a list, so it can neither
+    leave the root's list nor open a second one, and the last piece's
+    list must be followed by the root's other members, none of them a
+    second `questions`. The hashes, one per question, are padded to
+    `most`. A fault is anything `load_vqa_items` or `vqa.accuracy` might
+    reject, and some things they accept (a question-shaped dict outside
+    the list or nested in a question, or a `}, {` inside a string where a
+    cut fell); no fault is told apart from another.
     """
     values = array("q", bytes(8 * (3 + most)))
     values[0] = 1  # a fault until every check has passed
@@ -187,19 +189,26 @@ def _score_share(
 
     decoder = json.JSONDecoder(object_hook=_question_hook(keep))
     try:
-        for start, stop in _pieces(file_no, size, shares, chunk):
+        for start, stop in _pieces(file_no, size, chunk):
             text = os.pread(file_no, (size if stop is None else stop) - start, start).decode()
-            root = decoder.decode("".join((
-                "" if start == 0 else _ROOT_START, text, "" if stop is None else _ROOT_END
-            )))
-            # the root's `questions` is a list, its last member where the file
-            # goes on, and every record in it a question, and every question a record
-            if not (
-                type(root) is dict
-                and type(records := root.get("questions")) is list
-                and (stop is None or next(reversed(root)) == "questions")
-                and 0 < len(records) == len(rows) == records.count(_KEPT) <= most - questions
-            ):
+            if start == 0:
+                root = decoder.decode(text if stop is None else "".join((text, "]}")))
+                if not (
+                    type(root) is dict
+                    and type(records := root.get("questions")) is list
+                    and (stop is None or next(reversed(root)) == "questions")
+                ):
+                    return values
+            elif stop is not None:
+                records = decoder.decode("".join(("[", text, "]")))
+            else:
+                records, end = decoder.raw_decode("".join(("[", text)))
+                # a second `questions` after the list is the one json.loads keeps
+                members = _MEMBERS.decode("".join(('{"questions": 0', text[end - 1 :])))
+                if [key for key, _ in members].count("questions") != 1:
+                    return values
+            # every record is a question, and every question a record
+            if not 0 < len(records) == len(rows) == records.count(_KEPT) <= most - questions:
                 return values
             item_ids, options, golds, segment_ids = zip(*rows)
             rows.clear()

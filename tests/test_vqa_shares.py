@@ -344,6 +344,17 @@ def _layout(name: str) -> str:
         return json.dumps({
             "questions": questions, "after": [{"note": "x" * 150_000}, _question(99_996)],
         })
+    if name == "a second list, past a cut":
+        # a piece ends at the cut after the long question, so the next one
+        # starts at the dict that closes the first list; json.loads keeps
+        # only the second list
+        questions[1_999]["question"] = "x" * 150_000
+        return "".join((
+            '{"questions": ', json.dumps([*questions[:2_000], {"n": 1}]),
+            ', "questions": ', json.dumps(questions[2_000:]), "}",
+        ))
+    if name == "a second questions member, not a list":
+        return compact[:-1] + ', "questions": 0}'
     if name == "a question in a member before the questions":
         return json.dumps({"before": _question(99_997), "questions": questions})
     if name == "cuts inside strings":
@@ -369,7 +380,8 @@ LAYOUTS = [
     "a long list of dicts before the questions",
     "a question in a list after the questions, past a cut",
     "a question in a member before the questions", "cuts inside strings",
-    "a first list json.loads drops", "a second, empty list", "a byte order mark",
+    "a first list json.loads drops", "a second, empty list",
+    "a second list, past a cut", "a second questions member, not a list", "a byte order mark",
     "data after the root", "the root a list", "a value nested too deeply",
 ]
 
