@@ -12,7 +12,7 @@ comparisons with smoothing scorers.
 import math
 from typing import NamedTuple, Sequence
 
-from .ngrams import MAX_ORDER, clipped_matches, ngram_table
+from .ngrams import MAX_ORDER, check_tokens, clipped_matches, ngram_table
 
 ZERO_PRECISION_POLICIES = ("hard-zero", "epsilon")
 EPSILON_FLOOR = 1e-9
@@ -82,6 +82,7 @@ def bleu4(
             f"zero_policy must be one of {ZERO_PRECISION_POLICIES}, got {zero_policy!r}"
         )
 
+    check_tokens(candidate, *references)
     c = len(candidate)
     if c == 0:
         return BleuBreakdown(precisions=(0.0,) * 4, brevity_penalty=0.0, score=0.0)

@@ -14,14 +14,17 @@ conventional scale of 10 is the default and is configurable.
 
 Scoring is two-phase: build an immutable `CiderCorpusIdf` over the
 evaluation corpus once, then score any number of candidates against it.
+Its document frequencies are keyed as `ngrams` keys grams, by their
+tokens joined with one space. `cosine` takes each order's cosine
+straight from two count tables, and both `cider` and
+`scoring._score_unit` call it: no TF-IDF vector is built as a dict.
 """
 
 import math
-from collections import Counter
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .ngrams import MAX_ORDER, ngram_table
+from .ngrams import MAX_ORDER, check_tokens, count_grams, ngram_table
 from .records import Frozen
 
 DEFAULT_SCALE = 10.0
@@ -38,7 +41,7 @@ class CiderCorpusIdf(Frozen):
     __slots__ = ("num_docs", "df", "log_idf")
     _fields = ("num_docs", "df")
 
-    def __init__(self, num_docs: int, df: Mapping[int, Mapping[tuple, int]]):
+    def __init__(self, num_docs: int, df: Mapping[int, Mapping[str, int]]):
         values = {1}.union(*(order.values() for order in df.values()))
         # ln(num_docs / df) per distinct df value, computed once, not per lookup
         log_idf = {count: math.log(num_docs / count) for count in values}
@@ -62,6 +65,7 @@ def compute_idf(corpus: Sequence[Sequence[Sequence[str]]]) -> CiderCorpusIdf:
     """
     grams = []
     for references in corpus:
+        check_tokens(*references)
         tables = [ngram_table(reference) for reference in references]
         # a set of several references takes each order's union, and an
         # empty set has no grams but still counts as a document
@@ -72,7 +76,7 @@ def compute_idf(corpus: Sequence[Sequence[Sequence[str]]]) -> CiderCorpusIdf:
     return idf_from_tables(grams)
 
 
-def idf_from_tables(tables: Sequence[Sequence[Iterable[tuple]]]) -> CiderCorpusIdf:
+def idf_from_tables(tables: Sequence[Sequence[Iterable[str]]]) -> CiderCorpusIdf:
     """`compute_idf` from the grams of each reference set, one collection per order.
 
     `tables[d][n - 1]` holds the distinct order-n grams of set d: one
@@ -83,50 +87,42 @@ def idf_from_tables(tables: Sequence[Sequence[Iterable[tuple]]]) -> CiderCorpusI
     if not tables:
         raise ValueError("cider idf requires a non-empty corpus")
     df = {
-        n: Counter(chain.from_iterable(table[n - 1] for table in tables))
+        n: count_grams(chain.from_iterable(table[n - 1] for table in tables))
         for n in range(1, MAX_ORDER + 1)
     }
     return CiderCorpusIdf(num_docs=len(tables), df=df)
 
 
-def tfidf_weights(counts: Mapping[tuple, int], n: int, idf: CiderCorpusIdf) -> dict[tuple, float]:
-    """Sparse TF-IDF vector of one caption's order-n window counts."""
-    total = sum(counts.values())
-    if total == 0:
-        return {}
-    df_get, log_idf = idf.df[n].get, idf.log_idf
-    return {
-        gram: (count / total) * log_idf[df_get(gram, 1)]
-        for gram, count in counts.items()
-    }
-
-
-def _cosine(a: Mapping[tuple, float], b: Mapping[tuple, float], common: Iterable[tuple]) -> float:
-    """Cosine of `a` and `b`, whose shared keys are `common`."""
-    # zero vectors (empty captions, single-document corpora) score 0
-    norm_a = math.sqrt(math.fsum([v * v for v in a.values()]))
-    norm_b = math.sqrt(math.fsum([v * v for v in b.values()]))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    # a key outside `common` adds a zero term (weights are finite and >= 0);
-    # fsum is exactly rounded, so leaving those out gives the same float
-    dot = math.fsum([a[k] * b[k] for k in common])
-    return dot / (norm_a * norm_b)
-
-
-def similarity(
-    cand_vec: Mapping[tuple, float],
-    ref_vec: Mapping[tuple, float],
-    common: Iterable[tuple],
-    penalty: float,
+def cosine(
+    cand: Mapping[str, int],
+    ref: Mapping[str, int],
+    common: Iterable[str],
+    n: int,
+    idf: CiderCorpusIdf,
 ) -> float:
-    """One order's similarity of a candidate to one reference.
+    """Cosine of the order-n TF-IDF vectors of two count tables sharing the grams `common`.
 
-    The cosine of their TF-IDF vectors, whose shared grams are `common`,
-    times the `length_penalty` of the pair.
+    A gram's weight is (count / windows) * ln(num_docs / df), with
+    `windows` its table's total count and df 1 for a gram the corpus
+    lacks. Each table's weights are one list, and a zero vector (an
+    empty caption, a single-document corpus) scores 0.
     """
-    # rounding can lift the cosine of equal vectors an ulp above 1
-    return min(_cosine(cand_vec, ref_vec, common), 1.0) * penalty
+    df_get, log_idf = idf.df[n].get, idf.log_idf
+    cand_windows, ref_windows = sum(cand.values()), sum(ref.values())
+    norms = []
+    for counts, windows in ((cand, cand_windows), (ref, ref_windows)):
+        weights = [(count / windows) * log_idf[df_get(gram, 1)] for gram, count in counts.items()]
+        norms.append(math.sqrt(math.fsum([w * w for w in weights])))
+        if norms[-1] == 0.0:
+            return 0.0
+    # a gram outside `common` adds a zero term (weights are finite and >= 0);
+    # fsum is exactly rounded, so leaving those out gives the same float
+    dot = math.fsum([
+        ((cand[gram] / cand_windows) * log) * ((ref[gram] / ref_windows) * log)
+        for gram in common
+        for log in (log_idf[df_get(gram, 1)],)
+    ])
+    return dot / (norms[0] * norms[1])
 
 
 def check_scale(scale: float, name: str = "scale") -> None:
@@ -187,16 +183,16 @@ def cider(
     if length_penalty_sigma is not None:
         spread = length_penalty_spread(length_penalty_sigma)
     penalties = [length_penalty(len(candidate), len(ref), spread) for ref in references]
+    check_tokens(candidate, *references)
     cand_table = ngram_table(candidate)
     ref_tables = [ngram_table(reference) for reference in references]
     per_n = []
     for n in range(1, MAX_ORDER + 1):
-        cand_counts = cand_table[n - 1]
-        cand_vec = tfidf_weights(cand_counts, n, idf)
+        cand = cand_table[n - 1]
         sims = []
         for ref_table, penalty in zip(ref_tables, penalties):
-            ref_counts = ref_table[n - 1]
-            common = cand_counts.keys() & ref_counts.keys()
-            sims.append(similarity(cand_vec, tfidf_weights(ref_counts, n, idf), common, penalty))
+            ref = ref_table[n - 1]
+            # rounding can lift the cosine of equal vectors an ulp above 1
+            sims.append(min(cosine(cand, ref, cand.keys() & ref.keys(), n, idf), 1.0) * penalty)
         per_n.append(math.fsum(sims) / len(references))
     return CiderBreakdown(per_n=tuple(per_n), score=cider_score(per_n, scale))

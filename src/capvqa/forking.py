@@ -4,9 +4,10 @@
 process's affinity set (`taskset` limits that set). The caller solves the
 first chunk and a forked child each other one. A child inherits the
 caller's memory, so nothing is sent to it, and it sends its result back
-as the raw bytes of an `array` over a pipe: nothing is pickled, and every
-float arrives bit for bit. Results come back in chunk order, so a caller
-that reduces them in that order gets the same answer for any CPU count.
+as the raw bytes of an `array` over a pipe, after an 8-byte count of its
+items: nothing is pickled, and every float arrives bit for bit. Results
+come back in chunk order, so a caller that reduces them in that order
+gets the same answer for any CPU count.
 A child leaves by `os._exit` once its result is written, so it frees
 nothing it built.
 
@@ -27,6 +28,7 @@ a reference count included, costs the child a copy-on-write fault, about
 """
 
 import os
+import sys
 import threading
 from array import array
 from typing import Callable, NoReturn, Sequence, TypeVar
@@ -44,13 +46,15 @@ def _cpu_count() -> int:
 def _solve_in_child(solve: Callable, chunk: Sequence, write_end: int) -> NoReturn:
     """In a forked child: solve `chunk`, write the array to the pipe, and exit.
 
-    The exit code is 0 only when the whole array was written; the caller
-    then solves a failed chunk itself, so its exception surfaces there.
+    The array goes after its item count, 8 bytes in the machine's byte
+    order. The exit code is 0 only when both were written; the caller then
+    solves a failed chunk itself, so its exception surfaces there.
     """
     code = 1
     try:
         values = solve(chunk)
         with open(write_end, "wb") as pipe:
+            pipe.write(len(values).to_bytes(8, sys.byteorder))
             pipe.write(values)
         code = 0
     finally:
@@ -58,23 +62,21 @@ def _solve_in_child(solve: Callable, chunk: Sequence, write_end: int) -> NoRetur
 
 
 def map_chunks(
-    work: Sequence[Work],
-    solve: Callable[[Sequence[Work]], array],
-    length: Callable[[int], int],
-    min_chunk: int,
+    work: Sequence[Work], solve: Callable[[Sequence[Work]], array], min_chunk: int
 ) -> list[array]:
     """`solve` of each contiguous chunk of `work`, one chunk per CPU, in order.
 
-    `solve(chunk)` returns an `array` holding `length(len(chunk))` values,
-    of one typecode for every chunk: a child's bytes are read back as the
-    type of the caller's own chunk, which is solved first. Chunk k runs on
-    the k-th CPU of the affinity set, the caller's own chunk on the first.
-    The work stays one serial chunk without `fork` or `sched_getaffinity`,
+    `solve(chunk)` returns an `array` of any length, of one typecode for
+    every chunk: a child's bytes are read back as the type of the
+    caller's own chunk, which is solved first. Chunk k runs on the k-th
+    CPU of the affinity set, the caller's own chunk on the first. The
+    work stays one serial chunk without `fork` or `sched_getaffinity`,
     when another thread runs (a fork copies only the forking thread,
     whatever locks the others hold), and when a chunk would hold fewer
-    than `min_chunk` items. A child that exits non-zero or sends short
-    data has its chunk solved again here, and every child not yet reaped
-    is killed and reaped on the way out, KeyboardInterrupt included.
+    than `min_chunk` items. A child that exits non-zero, or sends other
+    than the number of values its count promises, has its chunk solved
+    again here, and every child not yet reaped is killed and reaped on
+    the way out, KeyboardInterrupt included.
     """
     chunks = min(_cpu_count(), len(work) // min_chunk)
     if chunks < 2 or threading.active_count() > 1:
@@ -109,9 +111,9 @@ def map_chunks(
             _, status = os.waitpid(pid, 0)
             del children[0]
             os.close(read_end)
-            values = array(solved[0].typecode)
-            if status == 0 and len(data) == values.itemsize * length(stop - start):
-                values.frombytes(data)
+            values, count = array(solved[0].typecode), int.from_bytes(data[:8], sys.byteorder)
+            if status == 0 and len(data) == 8 + values.itemsize * count:
+                values.frombytes(data[8:])
             else:
                 values = solve(work[start:stop])
             solved.append(values)

@@ -7,14 +7,16 @@ reference. Units are scored on the CPUs the process may run on
 through `forking.map_chunks`, the list of units, still raw caption text,
 is cut into one contiguous chunk per CPU, and the caller scores the
 first chunk and a forked child each other one. A chunk tokenizes the
-references of every split it scores and builds that split's TF-IDF
-statistics for the consensus metric from all of them; a split that spans
-two chunks has its statistics built in both. Each unit then tokenizes
-its own candidate in `_score_unit` and is scored against its tokenized
-reference. The scores are reduced in a fixed sorted order. A unit's
-score depends only on the unit, its split's statistics and the config,
-and the children send their floats back bit for bit, so the output is
-byte-identical for any CPU count.
+references of every split it scores, counts each one's n-grams once
+(`ngrams.ngram_table`), and builds that split's TF-IDF statistics for
+the consensus metric from those tables; a split that spans two chunks
+has its statistics built in both. Each unit then tokenizes its own
+candidate in `_score_unit`, counts its n-grams once, and scores BLEU's
+clipped matches and CIDEr's cosines (`cider.cosine`) from the two
+tables, without a weight dict. The scores are reduced in a fixed sorted
+order. A unit's score depends only on the unit, its split's statistics
+and the config, and the children send their floats back bit for bit, so
+the output is byte-identical for any CPU count.
 
 Missing units score against an empty candidate (which gives 0 on every
 metric); strict completeness checking lives in the CLI via
@@ -33,11 +35,10 @@ from .cider import (
     CiderCorpusIdf,
     check_scale,
     cider_score,
+    cosine,
     idf_from_tables,
     length_penalty,
     length_penalty_spread,
-    similarity,
-    tfidf_weights,
 )
 from .composite import METRIC_NAMES, SplitScores
 from .dataset_io import PHASES, SPLITS, ScenarioSet
@@ -156,9 +157,8 @@ def _score_unit(
         common = cand.keys() & ref.keys()
         matches = clipped_count(cand, ref, common)
         precisions.append(modified_precision(matches, c - n + 1, config.bleu_zero_policy))
-        similarities.append(
-            similarity(tfidf_weights(cand, n, idf), tfidf_weights(ref, n, idf), common, penalty)
-        )
+        # rounding can lift the cosine of equal vectors an ulp above 1
+        similarities.append(min(cosine(cand, ref, common, n, idf), 1.0) * penalty)
     return (
         bleu_score(precisions, brevity_penalty(c, r)),
         meteor(candidate, [reference], config.meteor_params).score,
@@ -173,13 +173,15 @@ def _mean(values: Sequence[float]) -> float:
 
 
 # Units a forked chunk must hold, or scoring stays serial. On a 2-CPU Xeon
-# VM, forking, piping and reaping a child took 2.5-3.3 ms at a 17-19 MB
-# heap and 6.5-8.6 ms at 62 MB, while tokenizing a candidate and scoring
-# its unit took 0.25-0.29 ms for 10-25 tokens and 0.62-0.71 ms for 40-100.
-# A chunk also tokenizes and counts every reference of its splits and
-# builds their IDF, 60-170 us per unit of the split; chunks sharing a split
-# do so at the same time, which costs CPU but no wall time. So a chunk of
-# 64 short units does 16-19 ms of work against 3-9 ms of fixed cost.
+# KVM guest, forking, piping and reaping a child took 1.8-2.1 ms at a
+# 15-16 MB heap (q1-q3 of 30), and an earlier session measured 6.5-8.6 ms
+# at 62 MB. Tokenizing a candidate and scoring its unit took 0.14-0.20 ms
+# for 10-25 tokens and 0.40-0.54 ms for 40-100 (q1-q3 of 15 runs over the
+# benchmark's seed-1 caption files). A chunk also tokenizes and counts
+# every reference of its splits and builds their IDF, 33-143 us per unit
+# of the split; chunks sharing a split do so at the same time, which costs
+# CPU but no wall time. So a chunk of 64 short units does about 12 ms of
+# work against 2-9 ms of fixed cost; the crossover lies near 15-45 units.
 MIN_CHUNK_UNITS = 64
 
 
@@ -228,7 +230,6 @@ def score_captions(
     for chunk in forking.map_chunks(
         range(len(units)),
         lambda positions: _score_chunk(positions, units_by_split, config),
-        lambda count: width * count,
         MIN_CHUNK_UNITS,
     ):
         values += chunk

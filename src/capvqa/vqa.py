@@ -330,7 +330,5 @@ def accuracy(
         rows = slice(chunk.start, chunk.stop)
         return array("q", [_count_correct(raws[rows], joined_options[rows], golds[rows])])
 
-    counts = forking.map_chunks(
-        range(len(items)), count_correct, lambda size: 1, MIN_CHUNK_ANSWERS
-    )
+    counts = forking.map_chunks(range(len(items)), count_correct, MIN_CHUNK_ANSWERS)
     return _accuracy_result(len(items), sum([count[0] for count in counts]))

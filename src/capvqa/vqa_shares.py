@@ -42,9 +42,6 @@ _KEPT = object()
 # Two question records in a row: where a share or a piece may end, after
 # the "}", and the next one start, at the "{"
 _CUT = re.compile(rb"\}[ \t\n\r]*,[ \t\n\r]*\{")
-# The fewest bytes a question a share keeps can span:
-# {"id":"","segment":"","question":"","options":[0,0],"correct":0}
-_MIN_QUESTION_BYTES = 64
 # The members of an object as (key, value) pairs, in order: a repeated
 # key stays, where a dict keeps only its last value
 _MEMBERS = json.JSONDecoder(object_pairs_hook=list)
@@ -87,21 +84,17 @@ def score_vqa_in_shares(
             if not len(answers) == answers.count(_KEPT) == len(by_id):
                 return None
             del answers
-            most = size // _MIN_QUESTION_BYTES + 1  # questions in any share
             solve = partial(
-                _score_share, gold.fileno(), size, by_id, missing_policy == "strict",
-                segments, most,
+                _score_share, gold.fileno(), size, by_id, missing_policy == "strict", segments
             )
-            counts = forking.map_chunks(
-                range(size), solve, lambda chunk_size: 3 + most, MIN_SHARE_BYTES
-            )
+            counts = forking.map_chunks(range(size), solve, MIN_SHARE_BYTES)
     except (OSError, RecursionError, ValueError):  # SchemaError is a ValueError
         return None
     fault, total, correct = map(sum, zip(*(values[:3] for values in counts)))
     if fault or not total:
         return None
     # each share sends the hash of each of its ids; a repeated id repeats its hash
-    hashes = itertools.chain.from_iterable(values[3 : 3 + values[1]] for values in counts)
+    hashes = itertools.chain.from_iterable(values[3:] for values in counts)
     if len(set(hashes)) != total:
         return None
     return vqa._accuracy_result(total, correct)
@@ -160,7 +153,7 @@ def _pieces(file_no: int, size: int, chunk: range):
 
 
 def _score_share(
-    file_no: int, size: int, by_id: dict, strict: bool, segments, most: int, chunk: range
+    file_no: int, size: int, by_id: dict, strict: bool, segments, chunk: range
 ) -> array:
     """`array("q", [fault, questions, correct, *id hashes])` of the share `chunk`.
 
@@ -172,15 +165,15 @@ def _score_share(
     member then. Every other piece is parsed as a list, so it can neither
     leave the root's list nor open a second one, and the last piece's
     list must be followed by the root's other members, none of them a
-    second `questions`. The hashes, one per question, are padded to
-    `most`. A fault is anything `load_vqa_items` or `vqa.accuracy` might
-    reject, and some things they accept (a question-shaped dict outside
-    the list or nested in a question, or a `}, {` inside a string where a
-    cut fell); no fault is told apart from another.
+    second `questions`. A fault is anything `load_vqa_items` or
+    `vqa.accuracy` might reject, and some things they accept (a
+    question-shaped dict outside the list or nested in a question, or a
+    `}, {` inside a string where a cut fell); no fault is told apart from
+    another, and a share with one sends `[1, 0, 0]`.
     """
-    values = array("q", bytes(8 * (3 + most)))
-    values[0] = 1  # a fault until every check has passed
-    questions = correct = 0
+    fault = array("q", [1, 0, 0])
+    hashes = array("q")
+    correct = 0
     rows = []
 
     def keep(item_id, segment_id, question, options, gold):
@@ -198,7 +191,7 @@ def _score_share(
                     and type(records := root.get("questions")) is list
                     and (stop is None or next(reversed(root)) == "questions")
                 ):
-                    return values
+                    return fault
             elif stop is not None:
                 records = decoder.decode("".join(("[", text, "]")))
             else:
@@ -206,10 +199,10 @@ def _score_share(
                 # a second `questions` after the list is the one json.loads keeps
                 members = _MEMBERS.decode("".join(('{"questions": 0', text[end - 1 :])))
                 if [key for key, _ in members].count("questions") != 1:
-                    return values
+                    return fault
             # every record is a question, and every question a record
-            if not 0 < len(records) == len(rows) == records.count(_KEPT) <= most - questions:
-                return values
+            if not 0 < len(records) == len(rows) == records.count(_KEPT):
+                return fault
             item_ids, options, golds, segment_ids = zip(*rows)
             rows.clear()
             joined = vqa._joined_options(options)
@@ -219,13 +212,9 @@ def _score_share(
                 or (strict and None in raws)
                 or (segments is not None and not segments.issuperset(segment_ids))
             ):
-                return values
+                return fault
             correct += vqa._count_correct(raws, joined, golds)
-            values[3 + questions : 3 + questions + len(item_ids)] = array(
-                "q", map(hash, item_ids)
-            )
-            questions += len(item_ids)
+            hashes.extend(map(hash, item_ids))
     except (OSError, RecursionError, TypeError, ValueError):  # TypeError: an option not a string
-        return values
-    values[:3] = array("q", [0, questions, correct])
-    return values
+        return fault
+    return array("q", [0, len(hashes), correct]) + hashes

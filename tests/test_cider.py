@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from capvqa.cider import (
-    _cosine, cider, compute_idf, idf_from_tables, length_penalty, length_penalty_spread,
-    tfidf_weights,
+    cider, compute_idf, cosine, idf_from_tables, length_penalty, length_penalty_spread,
 )
 from capvqa.ngrams import extract_ngrams, ngram_table
 
@@ -41,7 +40,7 @@ def test_df_counts_sets_not_occurrences():
             [["a", "dog"]],
         ]
     )
-    assert idf.df[2][("the", "cat")] == 2
+    assert idf.df[2]["the cat"] == 2
 
 
 def test_empty_corpus_rejected():
@@ -55,6 +54,15 @@ def test_idf_is_order_independent():
     assert compute_idf(sets) == compute_idf(shuffled)
 
 
+def tfidf_weights(counts, n, idf):
+    """Sparse TF-IDF vector of one caption's order-n window counts, as a dict."""
+    total = sum(counts.values())
+    return {
+        gram: (count / total) * idf.log_idf[idf.df[n].get(gram, 1)]
+        for gram, count in counts.items()
+    }
+
+
 def tfidf_vector(tokens, n, idf):
     """Sparse TF-IDF vector over the order-n n-grams of one caption."""
     return tfidf_weights(extract_ngrams(tokens, n), n, idf)
@@ -62,13 +70,13 @@ def tfidf_vector(tokens, n, idf):
 
 def test_single_document_corpus_gives_zero_vector():
     idf = compute_idf([[["the", "cat"]]])
-    assert tfidf_vector(["the", "cat"], 1, idf) == {("the",): 0.0, ("cat",): 0.0}
+    assert tfidf_vector(["the", "cat"], 1, idf) == {"the": 0.0, "cat": 0.0}
 
 
 def test_unique_bigram_weight():
     idf = compute_idf([[["red", "car"]], [["blue", "van"]]])
     vec = tfidf_vector(["red", "car"], 2, idf)
-    assert vec == {("red", "car"): pytest.approx(math.log(2), abs=1e-15)}
+    assert vec == {"red car": pytest.approx(math.log(2), abs=1e-15)}
 
 
 def test_empty_caption_gives_zero_vector():
@@ -198,8 +206,13 @@ _REFERENCE_SETS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(_REFERENCE_SETS)
 def test_idf_tables_match_per_set_update_reference(corpus):
-    # an empty reference set has no grams but is still a document
-    expected = (len(corpus), oracles.compute_idf_reference(corpus))
+    # an empty reference set has no grams but is still a document; the
+    # oracle keys a gram by its tuple of tokens, the package by their join
+    df = oracles.compute_idf_reference(corpus)
+    expected = (
+        len(corpus),
+        {n: {" ".join(gram): count for gram, count in df[n].items()} for n in df},
+    )
     idf = compute_idf(corpus)
     assert (idf.num_docs, idf.df) == expected
     if all(len(references) == 1 for references in corpus):
@@ -213,16 +226,19 @@ def test_idf_from_tables_rejects_an_empty_corpus():
         idf_from_tables([])
 
 
-# TF-IDF weights are products of a term frequency and ln(num_docs / df),
-# so never negative; subnormals and exact zeros are kept in.
-_WEIGHT_VECTORS = st.dictionaries(
-    st.tuples(st.sampled_from("abcdef"), st.sampled_from("ab")),
-    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
-    max_size=12,
-)
+_TOKENS = st.lists(st.sampled_from("abcdef"), max_size=10)
 
 
 @settings(max_examples=500, deadline=None)
-@given(_WEIGHT_VECTORS, _WEIGHT_VECTORS)
-def test_cosine_is_bit_identical_to_all_keys_reference(a, b):
-    assert repr(_cosine(a, b, a.keys() & b.keys())) == repr(oracles.cosine_reference(a, b))
+@given(
+    st.lists(st.lists(_TOKENS, max_size=2), min_size=1, max_size=4), _TOKENS, _TOKENS,
+    st.integers(1, 4),
+)
+def test_cosine_is_bit_identical_to_all_keys_reference(corpus, cand_tokens, ref_tokens, n):
+    # the dicts hold every gram of each caption, the cosine weighs the two
+    # count tables; a one-set corpus gives zero vectors, and a gram the
+    # corpus lacks takes df 1
+    idf = compute_idf(corpus)
+    cand, ref = extract_ngrams(cand_tokens, n), extract_ngrams(ref_tokens, n)
+    expected = oracles.cosine_reference(tfidf_weights(cand, n, idf), tfidf_weights(ref, n, idf))
+    assert repr(cosine(cand, ref, cand.keys() & ref.keys(), n, idf)) == repr(expected)

@@ -15,7 +15,7 @@ import pytest
 
 import capvqa
 from capvqa import scoring, vqa, vqa_shares
-from capvqa.dataset_io import PHASES, load_vqa_items, load_vqa_predictions
+from capvqa.dataset_io import PHASES, SPLITS, load_vqa_items, load_vqa_predictions
 
 _SRC = str(Path(capvqa.__file__).resolve().parent.parent)
 _ENV = {
@@ -178,6 +178,7 @@ def _write_corpus(directory: Path, scenarios: int, questions: int, rng: random.R
     reason="scoring forks only with two or more CPUs",
 )
 def test_forked_and_one_cpu_runs_print_the_same_bytes(tmp_path):
+    # the CI step "forked and single-CPU scoring print the same bytes"
     scenarios, questions = 16, 2 * vqa.MIN_CHUNK_ANSWERS + 100
     # on two CPUs caption scoring cuts two chunks and the VQA gold file two
     # shares, so both fork; on one CPU the gold file is one share
@@ -187,7 +188,9 @@ def test_forked_and_one_cpu_runs_print_the_same_bytes(tmp_path):
     assert os.path.getsize(files[2]) >= 2 * vqa_shares.MIN_SHARE_BYTES
     flags = _input_flags(*files)
     reports = []
-    for command, command_flags in (("score-all", flags), ("score-vqa", flags[4:])):
+    for command, command_flags in (
+        ("score-all", flags), ("score-captions", flags[:4]), ("score-vqa", flags[4:])
+    ):
         argv = ["-m", "capvqa.cli", command, *command_flags, "--format", "json"]
         every_cpu = _python(*argv)
         one_cpu = _python(
@@ -196,8 +199,9 @@ def test_forked_and_one_cpu_runs_print_the_same_bytes(tmp_path):
         assert every_cpu.returncode == one_cpu.returncode == 0, every_cpu.stderr + one_cpu.stderr
         assert every_cpu.stdout == one_cpu.stdout
         reports.append(json.loads(every_cpu.stdout))
-    all_report, vqa_report = reports
+    all_report, captions_report, vqa_report = reports
     assert 0.0 < all_report["acc"] < 1.0 and all_report["internal"]["segments"] > 0
+    assert captions_report == [{"split": split, **all_report[split]} for split in SPLITS]
     # the shares agree with the library's loaders and accuracy
     expected = vqa.accuracy(load_vqa_items(files[2]), load_vqa_predictions(files[3]))
     assert (vqa_report["total"], vqa_report["correct"]) == (expected.total, expected.correct)

@@ -1,28 +1,50 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from capvqa import bleu4, cider, compute_idf
 from capvqa.ngrams import clipped_matches, extract_ngrams, ngram_table
 
 
 def test_unigram_counts():
     counts = extract_ngrams(["a", "b", "a"], 1)
-    assert counts == {("a",): 2, ("b",): 1}
+    assert counts == {"a": 2, "b": 1}
     assert counts.total() == 3
 
 
 def test_bigram_counts():
     counts = extract_ngrams(["a", "b", "a"], 2)
-    assert counts == {("a", "b"): 1, ("b", "a"): 1}
+    assert counts == {"a b": 1, "b a": 1}
 
 
 def test_window_longer_than_sequence_is_empty():
     counts = extract_ngrams(["a", "b"], 4)
     assert counts == {}
     assert counts.total() == 0
+
+
+# ["a b", "c"] and ["a", "b c"] would both have the bigram key "a b c"
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tokens: extract_ngrams(tokens, 2),
+        lambda tokens: bleu4(["a"], [tokens]),
+        lambda tokens: bleu4(tokens, [["a"]]),
+        lambda tokens: cider(["a"], [tokens], compute_idf([[["a"]]])),
+        lambda tokens: cider(tokens, [["a"]], compute_idf([[["a"]]])),
+        lambda tokens: compute_idf([[["a"]], [["c"], tokens]]),
+    ],
+    ids=["extract_ngrams", "bleu4-reference", "bleu4-candidate", "cider-reference",
+         "cider-candidate", "compute_idf"],
+)
+def test_a_token_holding_a_space_is_rejected_by_every_gram_entry_point(call):
+    with pytest.raises(ValueError) as error:
+        call(["a b", "c"])
+    assert str(error.value) == "a token holds a space, so its n-grams have no key: 'a b'"
 
 
 @pytest.mark.parametrize("n", [0, 5, -1])
@@ -53,8 +75,8 @@ def test_clip_uses_max_over_references():
 
 def test_clip_takes_the_max_over_plain_dict_references():
     # merging plain dicts keeps the last reference's count (1), not the max
-    cand = {("a",): 3, ("b",): 1}
-    refs = [{("a",): 2, ("b",): 1}, {("a",): 1}]
+    cand = {"a": 3, "b": 1}
+    refs = [{"a": 2, "b": 1}, {"a": 1}]
     assert clipped_matches(cand, refs) == 3
 
 
@@ -78,11 +100,12 @@ def test_clipped_bounds_and_self_saturation():
 def test_ngram_table_matches_extract_ngrams():
     rng = random.Random(5)
     for _ in range(100):
-        tokens = [rng.choice("abc") for _ in range(rng.randint(0, 12))]
+        tokens = [rng.choice(["a", "b", "ab", "c"]) for _ in range(rng.randint(0, 12))]
         table = ngram_table(tokens)
         assert len(table) == 4
         for n in range(1, 5):
-            assert table[n - 1] == extract_ngrams(tokens, n)
+            windows = Counter(" ".join(gram) for gram in oracles.ngram_list(tokens, n))
+            assert table[n - 1] == extract_ngrams(tokens, n) == windows
 
 
 _SHORT_TOKENS = st.lists(st.sampled_from("abcd"), max_size=10)

@@ -1,7 +1,11 @@
+import hashlib
+import importlib.util
 import math
 import os
 import random
 import threading
+from array import array
+from pathlib import Path
 
 import pytest
 from conftest import _assert_no_child_left
@@ -232,6 +236,84 @@ def test_a_child_that_sends_short_data_is_rescored_by_the_caller(monkeypatch, fo
     assert score_captions(gt, pred) == expected
     assert len(forks) == 2
     _assert_no_child_left()
+
+
+class _Miscounted(array):
+    """An array whose count, as `len` gives it, is off by `extra` from its items."""
+
+    extra = 0
+
+    def __len__(self):
+        return super().__len__() + self.extra
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_a_child_whose_count_is_not_what_it_sends_is_rescored_by_the_caller(
+    monkeypatch, forks, extra
+):
+    # the child writes its count and then its items: a count that promises
+    # more (or fewer) values than follow it fails the chunk, which the
+    # caller then solves itself
+    caller, solved_here = os.getpid(), []
+
+    def solve(chunk):
+        if os.getpid() != caller:
+            values = _Miscounted("q", chunk)
+            values.extra = extra
+            return values
+        solved_here.append(chunk)
+        return array("q", chunk)
+
+    monkeypatch.setattr(forking, "_cpu_count", lambda: 2)
+    solved = forking.map_chunks(range(10), solve, 5)
+    assert solved == [array("q", range(5)), array("q", range(5, 10))]
+    assert solved_here == [range(5), range(5, 10)]
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_a_chunk_counts_each_reference_of_its_splits_and_each_candidate_once(monkeypatch):
+    gt, pred = _generated_corpus()
+    units_by_split = scoring._collect_units(gt, pred)
+    internal = len(units_by_split["internal"])
+    counted, ngram_table = [], scoring.ngram_table
+
+    def counting(tokens):
+        counted.append(tuple(tokens))
+        return ngram_table(tokens)
+
+    monkeypatch.setattr(scoring, "ngram_table", counting)
+    # five units of each split: both splits' references, and ten candidates
+    own = range(internal - 5, internal + 5)
+    scoring._score_chunk(own, units_by_split, scoring.DEFAULT_CONFIG)
+    units = [unit for split in ("internal", "external") for unit in units_by_split[split]]
+    expected = [tokenize(unit.reference) for unit in units]
+    expected += [tokenize(units[k].candidate) for k in own]
+    assert sorted(counted) == sorted(map(tuple, expected))
+
+
+_CORPUS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+# sha256 of repr([tuple(segment) for segment in segments]) on each seed-1 workload
+_SEGMENT_DIGESTS = {
+    "long-captions": "3d4a30e1abb97dd74fe49adbd3325c0f47743d6cf0e83e377f9b84c1c2b8914c",
+    "short-distinct": "6c915b85d692e2df1e4831a84a9072f4184fba4797bcbded7922f76e7ddf16ea",
+}
+
+
+@pytest.mark.skipif(not _CORPUS_PY.is_file(), reason="needs the benchmark beside the tests")
+@pytest.mark.parametrize("workload", sorted(_SEGMENT_DIGESTS))
+def test_segment_floats_on_the_generated_caption_workloads_are_pinned(tmp_path, workload):
+    # every per-segment float, as repr prints it, of the benchmark's seed-1
+    # caption files: 300 and 1,500 units, where the goldens hold 10
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", _CORPUS_PY)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    files = corpus.write_workload(workload, 1, tmp_path)
+    segments = score_captions(
+        load_ground_truth(files["gt_captions"]), load_predictions(files["pred_captions"])
+    ).segments
+    digest = hashlib.sha256(repr([tuple(s) for s in segments]).encode()).hexdigest()
+    assert digest == _SEGMENT_DIGESTS[workload]
 
 
 def test_an_interrupted_caller_reaps_its_children(monkeypatch, forks):
