@@ -10,7 +10,7 @@ comparisons with smoothing scorers.
 """
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .ngrams import MAX_ORDER, check_tokens, clipped_matches, ngram_table
 
@@ -39,30 +39,34 @@ def effective_reference_length(candidate_len: int, references: Sequence[Sequence
     return best
 
 
-def modified_precision(matches: int, windows: int, zero_policy: str) -> float:
-    """One order's modified precision: clipped matches over candidate windows.
+def bleu_from_tables(
+    cand_table: Sequence[Mapping[str, int]],
+    ref_tables: Sequence[Sequence[Mapping[str, int]]],
+    c: int,
+    r: int,
+    zero_policy: str,
+) -> BleuBreakdown:
+    """`bleu4` from the `ngram_table` of a candidate of c tokens and of its references.
 
-    A candidate with no window of the order has precision 0; the `epsilon`
-    policy floors a zero precision at `EPSILON_FLOOR`.
+    r is the effective reference length (`effective_reference_length`).
+    An order-n precision counts the candidate's clipped matches over its
+    c - n + 1 windows, and is 0 without a window; the `epsilon` policy
+    floors a zero precision at `EPSILON_FLOOR`.
     """
-    p = matches / windows if windows > 0 else 0.0
-    if p == 0.0 and zero_policy == "epsilon":
-        p = EPSILON_FLOOR
-    return p
-
-
-def brevity_penalty(c: int, r: int) -> float:
-    """BP for a candidate of length c against reference length r; 0 when c is 0."""
     if c == 0:
-        return 0.0
-    return 1.0 if c > r else math.exp(1.0 - r / c)
-
-
-def bleu_score(precisions: Sequence[float], bp: float) -> float:
-    """BP times the geometric mean of the precisions; 0 if any precision is."""
-    if any(p == 0.0 for p in precisions):
-        return 0.0
-    return bp * math.exp(sum(math.log(p) for p in precisions) / MAX_ORDER)
+        return BleuBreakdown(precisions=(0.0,) * 4, brevity_penalty=0.0, score=0.0)
+    precisions = []
+    # each order's candidate counts, and the references' counts of that order
+    for n, cand, refs in zip(range(1, MAX_ORDER + 1), cand_table, zip(*ref_tables)):
+        p = clipped_matches(cand, refs) / (c - n + 1) if c >= n else 0.0
+        if p == 0.0 and zero_policy == "epsilon":
+            p = EPSILON_FLOOR
+        precisions.append(p)
+    bp = 1.0 if c > r else math.exp(1.0 - r / c)
+    score = 0.0
+    if 0.0 not in precisions:
+        score = bp * math.exp(sum(map(math.log, precisions)) / MAX_ORDER)
+    return BleuBreakdown(precisions=tuple(precisions), brevity_penalty=bp, score=score)
 
 
 def bleu4(
@@ -84,18 +88,10 @@ def bleu4(
 
     check_tokens(candidate, *references)
     c = len(candidate)
-    if c == 0:
-        return BleuBreakdown(precisions=(0.0,) * 4, brevity_penalty=0.0, score=0.0)
-    cand_table = ngram_table(candidate)
-    ref_tables = [ngram_table(ref) for ref in references]
-    precisions = tuple(
-        modified_precision(
-            clipped_matches(cand_table[n - 1], [table[n - 1] for table in ref_tables]),
-            c - n + 1,  # the candidate's order-n windows
-            zero_policy,
-        )
-        for n in range(1, MAX_ORDER + 1)
+    return bleu_from_tables(
+        ngram_table(candidate),
+        [ngram_table(ref) for ref in references],
+        c,
+        effective_reference_length(c, references),
+        zero_policy,
     )
-    bp = brevity_penalty(c, effective_reference_length(c, references))
-    score = bleu_score(precisions, bp)
-    return BleuBreakdown(precisions=precisions, brevity_penalty=bp, score=score)

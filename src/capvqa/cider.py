@@ -15,9 +15,11 @@ conventional scale of 10 is the default and is configurable.
 Scoring is two-phase: build an immutable `CiderCorpusIdf` over the
 evaluation corpus once, then score any number of candidates against it.
 Its document frequencies are keyed as `ngrams` keys grams, by their
-tokens joined with one space. `cosine` takes each order's cosine
-straight from two count tables, and both `cider` and
-`scoring._score_unit` call it: no TF-IDF vector is built as a dict.
+tokens joined with one space. `cider_from_tables` scores a candidate
+from the n-gram count tables of it and its references, which `cider`
+builds and `scoring._score_unit` takes from its split; it weighs the
+candidate's vector once per order and takes each cosine straight from
+two count tables, so no TF-IDF vector is built as a dict.
 """
 
 import math
@@ -93,36 +95,44 @@ def idf_from_tables(tables: Sequence[Sequence[Iterable[str]]]) -> CiderCorpusIdf
     return CiderCorpusIdf(num_docs=len(tables), df=df)
 
 
-def cosine(
-    cand: Mapping[str, int],
-    ref: Mapping[str, int],
-    common: Iterable[str],
-    n: int,
-    idf: CiderCorpusIdf,
-) -> float:
-    """Cosine of the order-n TF-IDF vectors of two count tables sharing the grams `common`.
+def norm(counts: Mapping[str, int], n: int, idf: CiderCorpusIdf) -> float:
+    """The length of the order-n TF-IDF vector of a count table.
 
     A gram's weight is (count / windows) * ln(num_docs / df), with
-    `windows` its table's total count and df 1 for a gram the corpus
-    lacks. Each table's weights are one list, and a zero vector (an
-    empty caption, a single-document corpus) scores 0.
+    `windows` the table's total count and df 1 for a gram the corpus
+    lacks. The weights are one list: no vector is built as a dict.
     """
+    df_get, log_idf, windows = idf.df[n].get, idf.log_idf, sum(counts.values())
+    return math.sqrt(math.fsum([
+        w * w
+        for gram, count in counts.items()
+        for w in ((count / windows) * log_idf[df_get(gram, 1)],)
+    ]))
+
+
+def cosine(
+    cand: Mapping[str, int], ref: Mapping[str, int], n: int, idf: CiderCorpusIdf, cand_norm: float
+) -> float:
+    """Cosine of the order-n TF-IDF vectors of two count tables; `cand_norm` is `cand`'s `norm`.
+
+    A zero vector (an empty caption, a single-document corpus) scores 0;
+    the candidate's norm is checked before the reference's is computed.
+    """
+    if cand_norm == 0.0:
+        return 0.0
+    ref_norm = norm(ref, n, idf)
+    if ref_norm == 0.0:
+        return 0.0
     df_get, log_idf = idf.df[n].get, idf.log_idf
     cand_windows, ref_windows = sum(cand.values()), sum(ref.values())
-    norms = []
-    for counts, windows in ((cand, cand_windows), (ref, ref_windows)):
-        weights = [(count / windows) * log_idf[df_get(gram, 1)] for gram, count in counts.items()]
-        norms.append(math.sqrt(math.fsum([w * w for w in weights])))
-        if norms[-1] == 0.0:
-            return 0.0
-    # a gram outside `common` adds a zero term (weights are finite and >= 0);
-    # fsum is exactly rounded, so leaving those out gives the same float
+    # a gram only one table holds adds a zero term (weights are finite and
+    # >= 0); fsum is exactly rounded, so leaving those out gives the same float
     dot = math.fsum([
         ((cand[gram] / cand_windows) * log) * ((ref[gram] / ref_windows) * log)
-        for gram in common
+        for gram in cand.keys() & ref.keys()
         for log in (log_idf[df_get(gram, 1)],)
     ])
-    return dot / (norms[0] * norms[1])
+    return dot / (cand_norm * ref_norm)
 
 
 def check_scale(scale: float, name: str = "scale") -> None:
@@ -158,9 +168,29 @@ def length_penalty(candidate_len: int, reference_len: int, spread: float | None)
     return math.exp(-(delta * delta) / spread)
 
 
-def cider_score(per_n: Sequence[float], scale: float) -> float:
-    """The score: the mean of the per-order similarities, times `scale`."""
-    return scale * math.fsum(per_n) / MAX_ORDER
+def cider_from_tables(
+    cand_table: Sequence[Mapping[str, int]],
+    ref_tables: Sequence[Sequence[Mapping[str, int]]],
+    penalties: Sequence[float],
+    idf: CiderCorpusIdf,
+    scale: float,
+) -> CiderBreakdown:
+    """`cider` from the `ngram_table` of a candidate and of each of its references.
+
+    `penalties[i]` scales every similarity to reference i (its
+    `length_penalty`). Each order's similarity is the mean over the
+    references, and the score the mean over the orders times `scale`.
+    """
+    per_n = []
+    # each order's candidate counts, and the references' counts of that order
+    for n, cand, refs in zip(range(1, MAX_ORDER + 1), cand_table, zip(*ref_tables)):
+        cand_norm = norm(cand, n, idf)  # once per order, whatever the references
+        sims = []
+        for ref, penalty in zip(refs, penalties):
+            # rounding can lift the cosine of equal vectors an ulp above 1
+            sims.append(min(cosine(cand, ref, n, idf, cand_norm), 1.0) * penalty)
+        per_n.append(math.fsum(sims) / len(refs))
+    return CiderBreakdown(per_n=tuple(per_n), score=scale * math.fsum(per_n) / MAX_ORDER)
 
 
 def cider(
@@ -184,15 +214,6 @@ def cider(
         spread = length_penalty_spread(length_penalty_sigma)
     penalties = [length_penalty(len(candidate), len(ref), spread) for ref in references]
     check_tokens(candidate, *references)
-    cand_table = ngram_table(candidate)
-    ref_tables = [ngram_table(reference) for reference in references]
-    per_n = []
-    for n in range(1, MAX_ORDER + 1):
-        cand = cand_table[n - 1]
-        sims = []
-        for ref_table, penalty in zip(ref_tables, penalties):
-            ref = ref_table[n - 1]
-            # rounding can lift the cosine of equal vectors an ulp above 1
-            sims.append(min(cosine(cand, ref, cand.keys() & ref.keys(), n, idf), 1.0) * penalty)
-        per_n.append(math.fsum(sims) / len(references))
-    return CiderBreakdown(per_n=tuple(per_n), score=cider_score(per_n, scale))
+    return cider_from_tables(
+        ngram_table(candidate), [ngram_table(ref) for ref in references], penalties, idf, scale
+    )

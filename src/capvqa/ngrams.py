@@ -10,7 +10,7 @@ space (`check_tokens`).
 
 from collections import Counter, _count_elements
 from operator import add
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 MAX_ORDER = 4
 
@@ -58,16 +58,6 @@ def ngram_table(tokens: Sequence[str]) -> tuple[Counter, ...]:
     )
 
 
-def clipped_count(
-    candidate: Mapping[str, int], ceiling: Mapping[str, int], common: Collection[str]
-) -> int:
-    """Sum over `common` of each gram's candidate count, clipped to its ceiling.
-
-    `common` holds the grams both counts share; any other gram clips to 0.
-    """
-    return sum(map(min, map(candidate.__getitem__, common), map(ceiling.__getitem__, common)))
-
-
 def clipped_matches(candidate: Mapping[str, int], references: Sequence[Mapping]) -> int:
     """Candidate n-gram count clipped to the per-gram maximum over references.
 
@@ -86,4 +76,5 @@ def clipped_matches(candidate: Mapping[str, int], references: Sequence[Mapping])
             for gram, count in reference.items():
                 if count > ceiling.get(gram, 0):
                     ceiling[gram] = count
-    return clipped_count(candidate, ceiling, candidate.keys() & ceiling.keys())
+    common = candidate.keys() & ceiling.keys()  # any other gram clips to 0
+    return sum(map(min, map(candidate.__getitem__, common), map(ceiling.__getitem__, common)))

@@ -2,7 +2,7 @@
 
 All of them go through `_render`, the one place that knows the formats.
 Numbers are rendered with 4 decimal places in markdown and csv; the json
-format preserves full precision and round-trips. Rendering is a pure
+format keeps every float at full precision. Rendering is a pure
 function of its inputs: equal inputs give byte-identical documents.
 """
 
@@ -131,22 +131,6 @@ def render_vqa(result: AccuracyResult, format: str = "markdown") -> str:
     doc = {"total": result.total, "correct": result.correct, "acc": result.acc_float}
     body = [[str(result.total), str(result.correct), _fmt(result.acc_float)]]
     return _render(format, tuple(doc), body, doc, labelled=True)
-
-
-def parse_table_json(document: str) -> list[ResultRow]:
-    """Inverse of render_table(..., format="json")."""
-    rows = []
-    for record in json.loads(document):
-        rows.append(
-            ResultRow(
-                label=record["label"],
-                internal=SplitScores(split="internal", **record["internal"]),
-                external=SplitScores(split="external", **record["external"]),
-                acc=record["acc"],
-                s2=record["s2"],
-            )
-        )
-    return rows
 
 
 def render_split_table(splits: Sequence[SplitScores], format: str = "markdown") -> str:

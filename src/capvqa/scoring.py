@@ -11,12 +11,13 @@ references of every split it scores, counts each one's n-grams once
 (`ngrams.ngram_table`), and builds that split's TF-IDF statistics for
 the consensus metric from those tables; a split that spans two chunks
 has its statistics built in both. Each unit then tokenizes its own
-candidate in `_score_unit`, counts its n-grams once, and scores BLEU's
-clipped matches and CIDEr's cosines (`cider.cosine`) from the two
-tables, without a weight dict. The scores are reduced in a fixed sorted
-order. A unit's score depends only on the unit, its split's statistics
-and the config, and the children send their floats back bit for bit, so
-the output is byte-identical for any CPU count.
+candidate in `_score_unit` and counts its n-grams once; BLEU and CIDEr
+score it from the two tables through the same functions `bleu4` and
+`cider` call (`bleu.bleu_from_tables`, `cider.cider_from_tables`), and
+METEOR and ROUGE-L score its tokens. The scores are reduced in a fixed
+sorted order. A unit's score depends only on the unit, its split's
+statistics and the config, and the children send their floats back bit
+for bit, so the output is byte-identical for any CPU count.
 
 Missing units score against an empty candidate (which gives 0 on every
 metric); strict completeness checking lives in the CLI via
@@ -29,13 +30,12 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from . import forking
-from .bleu import ZERO_PRECISION_POLICIES, bleu_score, brevity_penalty, modified_precision
+from .bleu import ZERO_PRECISION_POLICIES, bleu_from_tables
 from .cider import (
     DEFAULT_SCALE,
     CiderCorpusIdf,
     check_scale,
-    cider_score,
-    cosine,
+    cider_from_tables,
     idf_from_tables,
     length_penalty,
     length_penalty_spread,
@@ -44,7 +44,7 @@ from .composite import METRIC_NAMES, SplitScores
 from .dataset_io import PHASES, SPLITS, ScenarioSet
 from .meteor import DEFAULT_PARAMS as DEFAULT_METEOR_PARAMS
 from .meteor import MeteorParams, meteor
-from .ngrams import MAX_ORDER, clipped_count, ngram_table
+from .ngrams import ngram_table
 from .records import Frozen
 from .rouge import BETA_CONVENTIONS, rouge_l
 from .text_norm import tokenize
@@ -147,24 +147,14 @@ def _score_unit(
     """
     candidate = tokenize(unit.candidate)
     c, r = len(candidate), len(reference)
+    cand_table = ngram_table(candidate)
     sigma = config.cider_length_penalty_sigma
     penalty = length_penalty(c, r, None if sigma is None else length_penalty_spread(sigma))
-    precisions, similarities = [], []
-    # BLEU's clipped count and CIDEr's dot product both run over the grams
-    # the two captions share, found once per order
-    orders = zip(range(1, MAX_ORDER + 1), ngram_table(candidate), reference_table)
-    for n, cand, ref in orders:
-        common = cand.keys() & ref.keys()
-        matches = clipped_count(cand, ref, common)
-        precisions.append(modified_precision(matches, c - n + 1, config.bleu_zero_policy))
-        # rounding can lift the cosine of equal vectors an ulp above 1
-        similarities.append(min(cosine(cand, ref, common, n, idf), 1.0) * penalty)
     return (
-        bleu_score(precisions, brevity_penalty(c, r)),
+        bleu_from_tables(cand_table, [reference_table], c, r, config.bleu_zero_policy).score,
         meteor(candidate, [reference], config.meteor_params).score,
         rouge_l(candidate, reference, config.rouge_convention).score,
-        # one reference: each order's similarity is its per-order mean
-        cider_score(similarities, config.cider_scale),
+        cider_from_tables(cand_table, [reference_table], [penalty], idf, config.cider_scale).score,
     )
 
 
@@ -175,13 +165,13 @@ def _mean(values: Sequence[float]) -> float:
 # Units a forked chunk must hold, or scoring stays serial. On a 2-CPU Xeon
 # KVM guest, forking, piping and reaping a child took 1.8-2.1 ms at a
 # 15-16 MB heap (q1-q3 of 30), and an earlier session measured 6.5-8.6 ms
-# at 62 MB. Tokenizing a candidate and scoring its unit took 0.14-0.20 ms
-# for 10-25 tokens and 0.40-0.54 ms for 40-100 (q1-q3 of 15 runs over the
+# at 62 MB. Tokenizing a candidate and scoring its unit took 0.13-0.14 ms
+# for 10-25 tokens and 0.37-0.40 ms for 40-100 (q1-q3 of 15 runs over the
 # benchmark's seed-1 caption files). A chunk also tokenizes and counts
-# every reference of its splits and builds their IDF, 33-143 us per unit
+# every reference of its splits and builds their IDF, 31-105 us per unit
 # of the split; chunks sharing a split do so at the same time, which costs
-# CPU but no wall time. So a chunk of 64 short units does about 12 ms of
-# work against 2-9 ms of fixed cost; the crossover lies near 15-45 units.
+# CPU but no wall time. So a chunk of 64 short units does about 11 ms of
+# work against 2-9 ms of fixed cost; the crossover lies near 10-50 units.
 MIN_CHUNK_UNITS = 64
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from capvqa.cider import (
-    cider, compute_idf, cosine, idf_from_tables, length_penalty, length_penalty_spread,
+    cider, compute_idf, cosine, idf_from_tables, length_penalty, length_penalty_spread, norm,
 )
 from capvqa.ngrams import extract_ngrams, ngram_table
 
@@ -147,6 +148,33 @@ def test_matches_fresh_brute_force_on_random_corpora():
                 assert -1e-12 <= got_n <= 1.0 + 1e-12
 
 
+def _multi_reference_results():
+    # reference sets of 2-5 captions of 0-30 tokens over 12 words, so grams
+    # repeat within and across captions; every fourth candidate copies one
+    # of its references, which puts some cosines at 1
+    rng = random.Random(2502)
+    words = [f"w{k}" for k in range(12)]
+
+    def caption():
+        return [rng.choice(words) for _ in range(rng.randint(0, 30))]
+
+    corpus = [[caption() for _ in range(rng.randint(2, 5))] for _ in range(60)]
+    idf = compute_idf(corpus)
+    results = []
+    for k, references in enumerate(corpus):
+        candidate = list(rng.choice(references)) if k % 4 == 0 else caption()
+        results.append(cider(candidate, references, idf))
+        results.append(cider(candidate, references, idf, 1.0, 3.0))
+    return results
+
+
+def test_multi_reference_floats_are_pinned():
+    # sha256 of repr of every breakdown: weighing the candidate once per
+    # order, not once per reference, must leave every float as it is
+    digest = hashlib.sha256(repr(_multi_reference_results()).encode()).hexdigest()
+    assert digest == "98361fdb1c8b41c234f05585e1b1873a1a484f9c657924ec112e26b38b6c3db9"
+
+
 def test_reference_permutation_never_matters(fixtures_dir):
     _, candidates, reference_sets = _load_fixture(fixtures_dir)
     idf = compute_idf(reference_sets)
@@ -241,4 +269,4 @@ def test_cosine_is_bit_identical_to_all_keys_reference(corpus, cand_tokens, ref_
     idf = compute_idf(corpus)
     cand, ref = extract_ngrams(cand_tokens, n), extract_ngrams(ref_tokens, n)
     expected = oracles.cosine_reference(tfidf_weights(cand, n, idf), tfidf_weights(ref, n, idf))
-    assert repr(cosine(cand, ref, cand.keys() & ref.keys(), n, idf)) == repr(expected)
+    assert repr(cosine(cand, ref, n, idf, norm(cand, n, idf))) == repr(expected)

@@ -187,9 +187,15 @@ def test_forked_and_one_cpu_runs_print_the_same_bytes(tmp_path):
     files = _write_corpus(tmp_path, scenarios, questions, random.Random(20))
     assert os.path.getsize(files[2]) >= 2 * vqa_shares.MIN_SHARE_BYTES
     flags = _input_flags(*files)
+    # every caption option away from its default
+    non_default = [
+        "--bleu-zero-policy", "epsilon", "--rouge-convention", "recall-weighted",
+        "--cider-scale", "1.0", "--cider-length-penalty-sigma", "3.0",
+    ]
     reports = []
     for command, command_flags in (
-        ("score-all", flags), ("score-captions", flags[:4]), ("score-vqa", flags[4:])
+        ("score-all", flags), ("score-captions", flags[:4]),
+        ("score-captions", flags[:4] + non_default), ("score-vqa", flags[4:]),
     ):
         argv = ["-m", "capvqa.cli", command, *command_flags, "--format", "json"]
         every_cpu = _python(*argv)
@@ -199,9 +205,11 @@ def test_forked_and_one_cpu_runs_print_the_same_bytes(tmp_path):
         assert every_cpu.returncode == one_cpu.returncode == 0, every_cpu.stderr + one_cpu.stderr
         assert every_cpu.stdout == one_cpu.stdout
         reports.append(json.loads(every_cpu.stdout))
-    all_report, captions_report, vqa_report = reports
+    all_report, captions_report, non_default_report, vqa_report = reports
     assert 0.0 < all_report["acc"] < 1.0 and all_report["internal"]["segments"] > 0
     assert captions_report == [{"split": split, **all_report[split]} for split in SPLITS]
+    for default, changed in zip(captions_report, non_default_report):
+        assert changed["segments"] == default["segments"] and changed["cider"] < default["cider"]
     # the shares agree with the library's loaders and accuracy
     expected = vqa.accuracy(load_vqa_items(files[2]), load_vqa_predictions(files[3]))
     assert (vqa_report["total"], vqa_report["correct"]) == (expected.total, expected.correct)

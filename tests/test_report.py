@@ -1,3 +1,5 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,6 @@ import pytest
 from capvqa.composite import FinalScore, SplitScores
 from capvqa.report import (
     ResultRow,
-    parse_table_json,
     rank_leaderboard,
     render_leaderboard,
     render_score_all,
@@ -80,8 +81,29 @@ def test_csv_format_and_quoting():
 
 
 def test_json_round_trips():
-    rows = [BASELINE_ROW, _row()]
-    assert parse_table_json(render_table(rows, "json")) == rows
+    # json keeps every float as it is, where the other formats print 4 places
+    precise = _row(
+        label="precise",
+        internal=SplitScores("internal", 1 / 3, 0.1 + 0.2, 2 / 7, math.pi),
+        external=SplitScores("external", 1e-17, 5e-324, 1 - 1e-16, 1e300),
+        acc=2 / 3,
+        s2=0.123456789012345678,
+    )
+    rows = [BASELINE_ROW, _row(), precise]
+
+    def metrics(scores):
+        return {
+            "bleu4": scores.bleu4, "meteor": scores.meteor,
+            "rouge_l": scores.rouge_l, "cider": scores.cider,
+        }
+
+    assert json.loads(render_table(rows, "json")) == [
+        {
+            "label": row.label, "internal": metrics(row.internal),
+            "external": metrics(row.external), "acc": row.acc, "s2": row.s2,
+        }
+        for row in rows
+    ]
 
 
 def test_unknown_format_rejected():

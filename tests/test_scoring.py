@@ -23,21 +23,21 @@ from capvqa.dataset_io import (
 from capvqa.scoring import ScoringConfig, score_captions
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        ScoringConfig(),
-        ScoringConfig(
-            bleu_zero_policy="epsilon",
-            rouge_convention="recall-weighted",
-            cider_scale=1.0,
-            cider_length_penalty_sigma=3.0,
-        ),
-    ],
+# BLEU's epsilon floor, the recall-weighted ROUGE-L, CIDEr's scale and its
+# length penalty: every option but METEOR's, away from its default
+_NON_DEFAULT_CONFIG = ScoringConfig(
+    bleu_zero_policy="epsilon",
+    rouge_convention="recall-weighted",
+    cider_scale=1.0,
+    cider_length_penalty_sigma=3.0,
 )
+
+
+@pytest.mark.parametrize("config", [ScoringConfig(), _NON_DEFAULT_CONFIG])
 def test_segments_equal_direct_metric_calls(fixtures_dir, config):
-    # score_captions counts BLEU's clipped matches and CIDEr's cosine in one
-    # pass per order; each segment must still equal the public metric functions
+    # score_captions counts each caption's n-grams once and hands the tables
+    # to the functions bleu4 and cider call; each segment must equal the
+    # public metric functions, which count them from the tokens
     fixtures = (
         load_ground_truth(fixtures_dir / "captions_gt.json"),
         load_predictions(fixtures_dir / "captions_pred.json"),
@@ -293,10 +293,17 @@ def test_a_chunk_counts_each_reference_of_its_splits_and_each_candidate_once(mon
 
 
 _CORPUS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
-# sha256 of repr([tuple(segment) for segment in segments]) on each seed-1 workload
+# sha256 of repr([tuple(segment) for segment in segments]) on each seed-1
+# workload, under the default config and under `_NON_DEFAULT_CONFIG`
 _SEGMENT_DIGESTS = {
-    "long-captions": "3d4a30e1abb97dd74fe49adbd3325c0f47743d6cf0e83e377f9b84c1c2b8914c",
-    "short-distinct": "6c915b85d692e2df1e4831a84a9072f4184fba4797bcbded7922f76e7ddf16ea",
+    "long-captions": (
+        "3d4a30e1abb97dd74fe49adbd3325c0f47743d6cf0e83e377f9b84c1c2b8914c",
+        "e94524b16342abf83f85260aba5217b1857746a9edb5a07d5dbe1430f7228015",
+    ),
+    "short-distinct": (
+        "6c915b85d692e2df1e4831a84a9072f4184fba4797bcbded7922f76e7ddf16ea",
+        "4b095877d9dbb7aa31706b57675feefcaa1a344551be2d2aae8347950657f103",
+    ),
 }
 
 
@@ -309,11 +316,12 @@ def test_segment_floats_on_the_generated_caption_workloads_are_pinned(tmp_path, 
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     files = corpus.write_workload(workload, 1, tmp_path)
-    segments = score_captions(
-        load_ground_truth(files["gt_captions"]), load_predictions(files["pred_captions"])
-    ).segments
-    digest = hashlib.sha256(repr([tuple(s) for s in segments]).encode()).hexdigest()
-    assert digest == _SEGMENT_DIGESTS[workload]
+    gt, pred = load_ground_truth(files["gt_captions"]), load_predictions(files["pred_captions"])
+    digests = []
+    for config in (ScoringConfig(), _NON_DEFAULT_CONFIG):
+        segments = score_captions(gt, pred, config).segments
+        digests.append(hashlib.sha256(repr([tuple(s) for s in segments]).encode()).hexdigest())
+    assert tuple(digests) == _SEGMENT_DIGESTS[workload]
 
 
 def test_an_interrupted_caller_reaps_its_children(monkeypatch, forks):
