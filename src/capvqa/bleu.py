@@ -65,7 +65,12 @@ def bleu_from_tables(
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
     score = 0.0
     if 0.0 not in precisions:
-        score = bp * math.exp(sum(map(math.log, precisions)) / MAX_ORDER)
+        # added left to right from 0.0, not by `sum`, which compensates
+        # its float additions since Python 3.12
+        log_sum = 0.0
+        for p in precisions:
+            log_sum += math.log(p)
+        score = bp * math.exp(log_sum / MAX_ORDER)
     return BleuBreakdown(precisions=tuple(precisions), brevity_penalty=bp, score=score)
 
 

@@ -45,7 +45,9 @@ def cap_score(bleu4: float, meteor: float, rouge_l: float, cider: float) -> floa
     for name, value in zip(METRIC_NAMES, values):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
-    return sum(values) / 4.0
+    # added left to right from 0.0, not by `sum`, which compensates its
+    # float additions since Python 3.12
+    return (0.0 + bleu4 + meteor + rouge_l + cider) / 4.0
 
 
 def aggregate_splits(

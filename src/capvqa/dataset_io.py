@@ -22,20 +22,14 @@ by `validate`, so partial submissions can still be inspected.
 import contextlib
 import gc
 import json
-from pathlib import Path
 from typing import Any, NamedTuple
 
 from .errors import SchemaError
-from .vqa import VqaItem, VqaPrediction, _bare_item, _set_normalized_options, _shape_error
+from .vqa import VqaItem, VqaPrediction, _shape_error
 
 PHASES = ("prerecognition", "recognition", "judgment", "action", "avoidance")
 SPLITS = ("internal", "external")
 _RECORD_TYPES = (VqaItem, VqaPrediction)
-# Questions whose options are normalized in one call: about 400 KB of text
-# for four-option questions. On the 50,000 questions of a vqa-bulk gold
-# file, one call for the whole file peaked 20.4 MB above the loaded items,
-# against 4.9 MB in blocks, and took 6,100 more page faults.
-_BLOCK_QUESTIONS = 4096
 
 
 class Segment(NamedTuple):
@@ -92,7 +86,8 @@ class ValidationReport(NamedTuple):
 
 def _load_json(path, object_hook=None) -> Any:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -234,8 +229,10 @@ def _question_hook(keep):
     A dict with the fields of a question, of the right types, at least two
     options and the gold index among them, becomes what `keep(id, segment,
     question, options, gold)` returns, so the parser frees its dict at
-    once. Any other dict, and one holding a `questions` key, stays as it
-    is. The options are neither checked to be strings nor normalized here.
+    once. Any other dict, one holding a `questions` key, and one whose
+    `keep` raises `SchemaError` or `TypeError`, stays as it is. The hook
+    checks neither that the options are strings nor that they stay
+    distinct: that is `keep`'s part.
     """
 
     def hook(record: dict):
@@ -248,7 +245,10 @@ def _question_hook(keep):
             and _shape_error(item_id, options, gold) is None
             and "questions" not in record
         ):
-            return keep(item_id, segment_id, question, options, gold)
+            try:
+                return keep(item_id, segment_id, question, options, gold)
+            except (SchemaError, TypeError):
+                pass
         return record
 
     return hook
@@ -256,44 +256,25 @@ def _question_hook(keep):
 
 @gc_paused()
 def load_vqa_items(path) -> list[VqaItem]:
-    """Load the VQA gold file.
+    """Load and check the VQA gold file.
 
-    Each question becomes its item the moment the parser closes its
+    The parser builds each well-formed question into its `VqaItem`, which
+    checks it and normalizes its options, the moment it closes the
     record, so the record's dict is freed at once and no whole document
-    is ever held. Equal segment and question strings share one object.
-    The options are normalized after the parse, a block of questions per
-    call. A file with any fault, or with a record the parse left a dict,
-    is checked again one question at a time, so the first faulty question
-    in the file reports its error.
+    is ever held. Equal segment and question strings share one object. A
+    record the parse left a dict is checked field by field after it, in
+    the same pass, in file order, that checks every id is new, so the
+    first faulty question in the file reports its error.
     """
     memo: dict[str, str] = {}
 
     def build(item_id, segment_id, question, options, gold):
-        return _bare_item(
+        return VqaItem(
             item_id, memo.setdefault(segment_id, segment_id),
             memo.setdefault(question, question), options, gold,
         )
 
     questions = _vqa_document(path, _question_hook(build), "questions")
-    for start in range(0, len(questions), _BLOCK_QUESTIONS):
-        block = questions[start : start + _BLOCK_QUESTIONS]
-        try:
-            normalized = {*map(type, block)} == {VqaItem} and _set_normalized_options(block)
-        except TypeError:  # an option that is not a string
-            normalized = False
-        if not normalized:
-            return _items_one_by_one(questions)
-    if len({item.id for item in questions}) != len(questions):
-        return _items_one_by_one(questions)
-    return questions
-
-
-def _items_one_by_one(questions: list) -> list[VqaItem]:
-    """`questions` checked and built one at a time, in index order.
-
-    Raises the error of the first faulty question. A file without one
-    comes back whole, each question an item.
-    """
     seen_ids = set()
     for idx, record in enumerate(questions):
         questions[idx] = item = _item_from_record(record, f"questions[{idx}]", seen_ids)
@@ -305,24 +286,23 @@ def _item_from_record(record, locator: str, seen_ids: set[str]) -> VqaItem:
     """The item of one question record, or its error.
 
     The checks run one at a time, in the order that picks which error a
-    record with several faults reports. An item the parse built bare has
-    passed all but three: a new id, string options, and no collision.
+    record with several faults reports. An item the parse built has
+    passed all but one: a new id.
     """
     if isinstance(record, VqaItem):
-        item_id, segment_id, question, options, gold = record._values()
-        _check_new_id(item_id, seen_ids, locator)
-        _check_option_types(options, locator)
-    else:
-        record = _expect(record, dict, locator)
-        item_id = _field(record, "id", str, locator)
-        _check_new_id(item_id, seen_ids, locator)
-        options = _field(record, "options", list, locator)
-        _check_option_types(options, locator)
-        segment_id = _field(record, "segment", str, locator)
-        question = _field(record, "question", str, locator)
-        gold = _field(record, "correct", int, locator)
-        if isinstance(gold, bool):
-            raise SchemaError("expected int, got bool", locator=f"{locator}.correct")
+        _check_new_id(record.id, seen_ids, locator)
+        return record
+    record = _expect(record, dict, locator)
+    item_id = _field(record, "id", str, locator)
+    _check_new_id(item_id, seen_ids, locator)
+    options = _field(record, "options", list, locator)
+    for o_idx, option in enumerate(options):
+        _expect(option, str, f"{locator}.options[{o_idx}]")
+    segment_id = _field(record, "segment", str, locator)
+    question = _field(record, "question", str, locator)
+    gold = _field(record, "correct", int, locator)
+    if isinstance(gold, bool):
+        raise SchemaError("expected int, got bool", locator=f"{locator}.correct")
     try:
         return VqaItem(item_id, segment_id, question, options, gold)
     except SchemaError as exc:
@@ -333,11 +313,6 @@ def _item_from_record(record, locator: str, seen_ids: set[str]) -> VqaItem:
 def _check_new_id(item_id: str, seen_ids: set[str], locator: str) -> None:
     if item_id in seen_ids:
         raise SchemaError(f"duplicate question id {item_id!r}", locator=locator)
-
-
-def _check_option_types(options: list, locator: str) -> None:
-    for o_idx, option in enumerate(options):
-        _expect(option, str, f"{locator}.options[{o_idx}]")
 
 
 def _answer_hook(keep):

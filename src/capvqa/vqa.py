@@ -105,7 +105,7 @@ def _normalize_many(texts: Sequence[str]) -> tuple[str, ...]:
     if len(parts) != len(texts):
         return tuple([_normalize_tokens(text) for text in texts])
     # With each NUL read as a space, no space may touch another or an end.
-    # That also sends a block holding an empty text down the slow path.
+    # That also sends a call holding an empty text down the slow path.
     spaced = encoded.translate(_NUL_AS_SPACE)
     if (
         encoded.isascii()
@@ -149,42 +149,22 @@ def _joined_options(questions: Sequence[Sequence[str]]) -> list[str] | None:
     return joined
 
 
-def _set_normalized_options(items: Sequence["VqaItem"]) -> bool:
-    """Set every item's normalized options, from one `_joined_options` call.
-
-    Returns False, and sets none, when the options of any item collide
-    after normalization. A non-string option raises `TypeError`.
-    """
-    joined = _joined_options([item.options for item in items])
-    if joined is None:
-        return False
-    for item, options in zip(items, joined):
-        item._normalized_options = options
-    return True
-
-
 class VqaItem(Record):
     __slots__ = ("id", "segment_id", "question", "options", "gold", "_normalized_options")
     _fields = __slots__[:-1]  # all but the derived slot
 
     def __init__(self, id: str, segment_id: str, question: str, options: list[str], gold: int):
+        """Check the question and keep its options normalized, in `_joined_options`'s form.
+
+        A non-string option raises `TypeError`.
+        """
         if problem := _shape_error(id, options, gold):
             raise SchemaError(problem)
-        self.id, self.segment_id, self.question = id, segment_id, question
-        self.options, self.gold = options, gold
-        if not _set_normalized_options([self]):
+        joined = _joined_options([options])
+        if joined is None:
             raise SchemaError(f"question {id!r} has options that collide after normalization")
-
-
-def _bare_item(id: str, segment_id: str, question: str, options: list[str], gold: int) -> VqaItem:
-    """An item that `_shape_error` passed, without its normalized options.
-
-    `_set_normalized_options` sets them, for many items at once.
-    """
-    item = object.__new__(VqaItem)
-    item.id, item.segment_id, item.question = id, segment_id, question
-    item.options, item.gold = options, gold
-    return item
+        self.id, self.segment_id, self.question = id, segment_id, question
+        self.options, self.gold, self._normalized_options = options, gold, joined[0]
 
 
 class VqaPrediction(Record):

@@ -30,6 +30,17 @@ def test_hand_computed_example():
     assert result.score == pytest.approx(oracles.bleu4_reference(cand, [ref]), abs=1e-12)
 
 
+def test_log_precisions_are_added_left_to_right():
+    # p = (5/6, 4/5, 1/2, 1/3) and BP = exp(-1/2), so the score is
+    # exp(-1/2) / sqrt(3). The logs add to -2.197224577336219 left to
+    # right from 0.0; a compensated sum, as the built-in `sum` takes from
+    # Python 3.12, rounds to -2.1972245773362196 and a score one bit lower.
+    result = bleu4("d c b b c d".split(), ["a b d c c c b b c".split()])
+    assert result.precisions == (5 / 6, 4 / 5, 1 / 2, 1 / 3)
+    assert math.fsum(map(math.log, result.precisions)) == -2.1972245773362196
+    assert result.score == 0.35018063965685026
+
+
 def test_papineni_modified_unigram_precision():
     # Papineni et al. (2002), section 2.1.1: "the" is clipped to its largest
     # count in one reference, 2, so the seven-"the" candidate earns 2/7

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 import capvqa
-from capvqa import cli, dataset_io, tokenize
+from capvqa import cli, tokenize
 from capvqa.dataset_io import PHASES, load_ground_truth, load_predictions
 from capvqa.scoring import score_captions
 
@@ -422,7 +422,7 @@ def test_main_runs_without_gc_and_leaves_it_as_it_found_it(
 def test_a_gold_file_colliding_past_its_first_block_exits_2_before_answers_are_read(
     tmp_path, fixtures_dir, capsys
 ):
-    block = dataset_io._BLOCK_QUESTIONS
+    block = 4096
     records = [
         {"id": f"q{i}", "segment": "scenario_001/action", "question": "?",
          "options": [f"Option {i}.", f"other {i}"], "correct": 0}

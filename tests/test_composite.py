@@ -16,6 +16,12 @@ def test_published_baseline_row_mean():
     assert cap_score(0.2569, 0.4528, 0.4512, 1.1001) == 0.56525
 
 
+def test_metrics_are_added_left_to_right():
+    # a compensated sum, as the built-in `sum` takes from Python 3.12,
+    # rounds these four to 3.299 and their mean to 0.82475
+    assert cap_score(0.8606, 0.9646, 0.9047, 0.5691) == 0.8247500000000001
+
+
 def test_degenerate_means():
     assert cap_score(0, 0, 0, 0) == 0.0
     assert cap_score(1, 1, 1, 1) == 1.0

@@ -67,6 +67,14 @@ def test_neither_import_nor_score_all_loads_dataclasses_or_inspect(fixtures_dir)
     assert not {"fractions", "decimal"} & (imported - baseline)
 
 
+def test_import_loads_no_pathlib():
+    # pathlib's import took about 3.4 ms of every start; run without
+    # `site`, which in some environments imports it itself
+    probe = _python("-S", "-c", "import sys, capvqa.cli; print('pathlib' in sys.modules)")
+    assert probe.returncode == 0, probe.stderr.decode()
+    assert probe.stdout.decode().split() == ["False"]
+
+
 @pytest.mark.parametrize(
     "format, extension", [("markdown", "md"), ("csv", "csv"), ("json", "json")]
 )
@@ -213,6 +221,33 @@ def test_forked_and_one_cpu_runs_print_the_same_bytes(tmp_path):
     # the shares agree with the library's loaders and accuracy
     expected = vqa.accuracy(load_vqa_items(files[2]), load_vqa_predictions(files[3]))
     assert (vqa_report["total"], vqa_report["correct"]) == (expected.total, expected.correct)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity mask")
+def test_a_collided_gold_file_gives_one_error_on_every_cpu_count(tmp_path):
+    # the collided gold file of the CI step "forked and single-CPU scoring
+    # print the same bytes": score-vqa, score-all and validate exit 2 with
+    # one and the same line, on every CPU and on one
+    gt_captions, pred_captions, gold, answers = _write_corpus(
+        tmp_path, 4, 4_000, random.Random(27)
+    )
+    assert os.path.getsize(gold) >= 2 * vqa_shares.MIN_SHARE_BYTES
+    doc = json.loads(gold.read_text(encoding="utf-8"))
+    doc["questions"][3_000].update(options=["A b", "a, b!"], correct=0)
+    gold.write_text(json.dumps(doc), encoding="utf-8")
+    captions = ["--gt-captions", str(gt_captions), "--pred-captions", str(pred_captions)]
+    message = (
+        b"error: question 'q3000' has options that collide after normalization "
+        b"(at questions[3000])\n"
+    )
+    for command in (
+        ["score-vqa", "--gt-vqa", str(gold), "--pred-vqa", str(answers)],
+        ["score-all", *captions, "--gt-vqa", str(gold), "--pred-vqa", str(tmp_path / "none")],
+        ["validate", *captions, "--gt-vqa", str(gold)],
+    ):
+        for one_cpu in (None, lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})):
+            result = _python("-m", "capvqa.cli", *command, preexec_fn=one_cpu)
+            assert (result.returncode, result.stdout, result.stderr) == (2, b"", message)
 
 
 _RUN_PY = Path(_SRC).parent / "perfbench" / "run.py"

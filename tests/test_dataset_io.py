@@ -267,11 +267,13 @@ def test_loaded_items_share_segment_strings_and_equal_items_built_one_by_one(tmp
     assert len({id(item.question) for item in items}) == 1
 
 
-_BLOCK = dataset_io._BLOCK_QUESTIONS
+# Errors must come in file order across a large file: the files below
+# hold more than two blocks of this many questions.
+_BLOCK = 4096
 
 
 def _blocks_of_questions(count=2 * _BLOCK + 10):
-    """`count` well-formed questions, more than two loader blocks by default."""
+    """`count` well-formed questions, more than two blocks of `_BLOCK` by default."""
     return [_question(id=f"q{i}", options=[f"Option {i}.", f"other {i}"]) for i in range(count)]
 
 
@@ -326,8 +328,8 @@ def test_vqa_errors_keep_file_order_across_blocks(tmp_path, faults, message):
 
 
 def test_vqa_items_loaded_in_blocks_equal_items_built_one_by_one(tmp_path):
-    # the first block's options take the one-pass path, the second's and
-    # the last's are collapsed one text at a time
+    # the second block's and the last's options need whitespace collapsed,
+    # and one of them holds an empty option
     records = _blocks_of_questions()
     for index in range(_BLOCK, 2 * _BLOCK + 10, 3):
         records[index]["options"] = [f" Option\t{index}. ", f"\u00c9t\u00e9  {index}", "(x)"]
@@ -373,18 +375,21 @@ def test_gc_pause_leaves_records_unchanged(fixtures_dir, loader, name):
 
 
 def test_gc_is_paused_while_questions_are_built(fixtures_dir, monkeypatch):
-    # the parse builds each item bare, and the block pass sets its options
-    states = {}
-    for builder in ("_bare_item", "_set_normalized_options"):
-        build = getattr(dataset_io, builder)
+    # a subclass, not a wrapper: the loader tells built items from dicts
+    # with `isinstance`
+    states = []
 
-        def recording_build(*args, build=build, builder=builder):
-            states.setdefault(builder, []).append(gc.isenabled())
-            return build(*args)
+    class RecordingItem(dataset_io.VqaItem):
+        __slots__ = ()
 
-        monkeypatch.setattr(dataset_io, builder, recording_build)
-    load_vqa_items(fixtures_dir / "vqa_gold.json")
-    assert len(states) == 2 and not any(states["_bare_item"] + states["_set_normalized_options"])
+        def __init__(self, *args):
+            states.append(gc.isenabled())
+            super().__init__(*args)
+
+    monkeypatch.setattr(dataset_io, "VqaItem", RecordingItem)
+    items = load_vqa_items(fixtures_dir / "vqa_gold.json")
+    assert len(states) == len(items) > 0 and not any(states)
+    assert {type(item) for item in items} == {RecordingItem}
     assert gc.isenabled()
 
 

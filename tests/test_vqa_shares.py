@@ -21,6 +21,7 @@ from conftest import _assert_no_child_left
 
 from capvqa import cli, dataset_io, forking, vqa_shares
 from capvqa.dataset_io import load_vqa_items, load_vqa_predictions
+from capvqa.errors import ValidationFailure
 from capvqa.vqa import accuracy
 
 CPUS = (1, 2, 3)
@@ -427,3 +428,127 @@ def test_bytes_that_are_not_utf8_in_the_last_share_give_the_serial_error(
         2, f"error: {gold} is not valid UTF-8: invalid continuation byte (at byte {at})\n",
     )
     assert len(forks) == cpus - 1
+
+
+# Characters that trip a byte-level cut or the parse of a piece, and
+# letters that are not ASCII
+_ODD = ["}", "{", ",", '"', "\\", "[", "]", ":", "\n", "é", "ß", "字"]
+_WORDS = ["red", "car", "man", "turns", "left", "stops", "bike", "lane"]
+
+
+def _odd_text(rng: random.Random, odd: list) -> str:
+    """A few words, each one replaced by a pick from `odd` with chance `len(odd) / 40`."""
+    return "".join(
+        rng.choice(odd) if rng.randrange(40) < len(odd) else rng.choice(_WORDS) + " "
+        for _ in range(rng.randrange(7))
+    )
+
+
+def _odd_question(rng: random.Random, k: int, odd: list) -> dict:
+    """Question `k`, its strings drawn by `_odd_text`, its members in random order."""
+    options = [f"{word} {_odd_text(rng, odd)}" for word in rng.sample(_WORDS, rng.randrange(2, 5))]
+    record = {
+        "id": f"q{k}" + _odd_text(rng, odd), "segment": _odd_text(rng, odd),
+        "question": _odd_text(rng, odd), "options": options,
+        "correct": rng.randrange(len(options)),
+    }
+    if rng.random() < 0.1:
+        record["meta"] = {"note": _odd_text(rng, odd), "inner": {"deep": [_odd_text(rng, odd)]}}
+    members = list(record.items())
+    rng.shuffle(members)
+    return dict(members)
+
+
+def _odd_gold_pair(rng: random.Random) -> tuple[str, str, str]:
+    """A gold text, its answers text and a missing policy, drawn from `rng`.
+
+    The gold root's members lie in random order around `questions`, with
+    random separators, indentation and escaping. Now and then a question
+    is faulty or holds another, a member holds a question, or a second
+    `questions` follows, which `json.loads` keeps.
+    """
+    # no odd characters, a few, or many, now and then with a cut in strings
+    odd = rng.choice([[], _ODD[:1], _ODD]) + (["}, {"] if rng.random() < 0.2 else [])
+    questions = [_odd_question(rng, k, odd) for k in range(rng.choice([0, *range(1, 40)]))]
+    if questions and rng.random() < 0.25:
+        question = rng.choice(questions)
+        fault = rng.randrange(5)
+        if fault == 0:
+            question["options"][1] = question["options"][0].upper() + "!"  # they collide
+        elif fault == 1:
+            question["options"][0] = 7
+        elif fault == 2:
+            question["correct"] = len(question["options"])
+        elif fault == 3:
+            question["id"] = questions[0]["id"]
+        else:
+            question["meta"] = _odd_question(rng, 998, odd)
+    members = [("questions", questions)]
+    for _ in range(rng.randrange(3)):
+        extra = rng.choice([1, _odd_text(rng, odd), {"questions": [1]}, [{"a": 1}, {"b": 2}],
+                            _odd_question(rng, 999, odd)])
+        members.insert(rng.randrange(len(members) + 1), (f"x{rng.randrange(9)}", extra))
+    if rng.random() < 0.05:
+        second = rng.choice([[], 0, [_odd_question(rng, k, odd) for k in range(5)]])
+        members.insert(rng.randrange(1, len(members) + 1), ("questions", second))
+    item_separator = rng.choice([",", ", ", " ,\n", ",\t"])
+    key_separator = rng.choice([":", ": ", " :\r\n"])
+    style = {
+        "indent": rng.choice([None, None, 0, 2, "\t"]),
+        "separators": (item_separator, key_separator),
+        "ensure_ascii": rng.random() < 0.5,
+    }
+    gold = "{%s}" % item_separator.join(
+        f"{json.dumps(key)}{key_separator}{json.dumps(value, **style)}" for key, value in members
+    )
+    policy = "strict" if rng.random() < 0.2 else "missing-is-wrong"
+    answered = 1.0 if rng.random() < 0.5 else 0.8
+    answers = []
+    for question in questions:
+        options = question["options"]
+        pick = rng.randrange(len(options))
+        if rng.random() < answered and isinstance(options[pick], str):
+            raw = rng.choice(
+                ["ABCD"[pick], options[pick], f"so {options[pick]}", _odd_text(rng, odd)]
+            )
+            answers.append({"id": question["id"], "raw": raw})
+    rng.shuffle(answers)
+    return gold, json.dumps({"answers": answers}, ensure_ascii=rng.random() < 0.5), policy
+
+
+def _library_counts(gold: str, answers: str, policy: str) -> tuple[int, int] | None:
+    try:
+        result = accuracy(load_vqa_items(gold), load_vqa_predictions(answers), policy)
+    except (ValueError, ValidationFailure):  # SchemaError is a ValueError
+        return None
+    return result.total, result.correct
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_shares_agree_with_the_library_on_random_gold_texts(
+    monkeypatch, tmp_path, capsys, seed
+):
+    # each file is cut many times: pieces of 1 byte to 1 MB, shares of
+    # 1 to 300 bytes, on 1, 2 and 3 CPUs
+    rng = random.Random(seed)
+    gold, answers = tmp_path / "gold.json", tmp_path / "answers.json"
+    for _ in range(20):
+        gold_text, answers_text, policy = _odd_gold_pair(rng)
+        gold.write_text(gold_text, encoding="utf-8")
+        answers.write_text(answers_text, encoding="utf-8")
+        monkeypatch.setattr(vqa_shares, "_PIECE_BYTES", rng.choice([1, 8, 40, 200, 1 << 20]))
+        monkeypatch.setattr(vqa_shares, "MIN_SHARE_BYTES", rng.choice([1, 16, 64, 300]))
+        cpus = rng.choice(CPUS)
+        monkeypatch.setattr(forking, "_cpu_count", lambda: cpus)
+        result = vqa_shares.score_vqa_in_shares(str(gold), str(answers), policy)
+        expected = _library_counts(str(gold), str(answers), policy)
+        assert result is None or (result.total, result.correct) == expected, gold_text
+        argv = ["score-vqa", "--gt-vqa", str(gold), "--pred-vqa", str(answers),
+                "--format", "json", *(["--strict"] if policy == "strict" else [])]
+        shared = (cli.main(argv), *capsys.readouterr())
+        monkeypatch.setattr(forking, "_cpu_count", lambda: 1)
+        assert (cli.main(argv), *capsys.readouterr()) == shared, gold_text
+        if expected is not None:
+            report = json.loads(shared[1])
+            assert (shared[0], report["total"], report["correct"]) == (0, *expected)
+    _assert_no_child_left()
