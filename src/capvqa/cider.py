@@ -19,7 +19,8 @@ tokens joined with one space. `cider_from_tables` scores a candidate
 from the n-gram count tables of it and its references, which `cider`
 builds and `scoring._score_unit` takes from its split; it weighs the
 candidate's vector once per order and takes each cosine straight from
-two count tables, so no TF-IDF vector is built as a dict.
+two count tables, so no TF-IDF vector is built as a dict; each order's
+window count, the divisor of its weights, comes from the caption length.
 """
 
 import math
@@ -102,7 +103,11 @@ def norm(counts: Mapping[str, int], n: int, idf: CiderCorpusIdf) -> float:
     `windows` the table's total count and df 1 for a gram the corpus
     lacks. The weights are one list: no vector is built as a dict.
     """
-    df_get, log_idf, windows = idf.df[n].get, idf.log_idf, sum(counts.values())
+    return _norm(counts, sum(counts.values()), idf.df[n].get, idf.log_idf)
+
+
+def _norm(counts: Mapping[str, int], windows: int, df_get, log_idf: Mapping[int, float]) -> float:
+    """`norm` of a table of `windows` windows, with the order's bound `df.get`."""
     return math.sqrt(math.fsum([
         w * w
         for gram, count in counts.items()
@@ -118,13 +123,21 @@ def cosine(
     A zero vector (an empty caption, a single-document corpus) scores 0;
     the candidate's norm is checked before the reference's is computed.
     """
+    return _cosine(
+        cand, ref, sum(cand.values()), sum(ref.values()), idf.df[n].get, idf.log_idf, cand_norm
+    )
+
+
+def _cosine(
+    cand: Mapping[str, int], ref: Mapping[str, int], cand_windows: int, ref_windows: int,
+    df_get, log_idf: Mapping[int, float], cand_norm: float,
+) -> float:
+    """`cosine` from each table's window count and the order's bound `df.get`."""
     if cand_norm == 0.0:
         return 0.0
-    ref_norm = norm(ref, n, idf)
+    ref_norm = _norm(ref, ref_windows, df_get, log_idf)
     if ref_norm == 0.0:
         return 0.0
-    df_get, log_idf = idf.df[n].get, idf.log_idf
-    cand_windows, ref_windows = sum(cand.values()), sum(ref.values())
     # a gram only one table holds adds a zero term (weights are finite and
     # >= 0); fsum is exactly rounded, so leaving those out gives the same float
     dot = math.fsum([
@@ -181,14 +194,21 @@ def cider_from_tables(
     `length_penalty`). Each order's similarity is the mean over the
     references, and the score the mean over the orders times `scale`.
     """
+    log_idf = idf.log_idf
+    # a caption of L tokens, its order-1 total, has L - n + 1 order-n
+    # windows (`ngram_table`'s tables hold no others; none if below 1)
+    c = sum(cand_table[0].values())
+    ref_lens = [sum(table[0].values()) for table in ref_tables]
     per_n = []
     # each order's candidate counts, and the references' counts of that order
     for n, cand, refs in zip(range(1, MAX_ORDER + 1), cand_table, zip(*ref_tables)):
-        cand_norm = norm(cand, n, idf)  # once per order, whatever the references
+        df_get, cand_windows = idf.df[n].get, c - n + 1
+        cand_norm = _norm(cand, cand_windows, df_get, log_idf)  # once per order
         sims = []
-        for ref, penalty in zip(refs, penalties):
+        for ref, r, penalty in zip(refs, ref_lens, penalties):
+            sim = _cosine(cand, ref, cand_windows, r - n + 1, df_get, log_idf, cand_norm)
             # rounding can lift the cosine of equal vectors an ulp above 1
-            sims.append(min(cosine(cand, ref, n, idf, cand_norm), 1.0) * penalty)
+            sims.append(min(sim, 1.0) * penalty)
         per_n.append(math.fsum(sims) / len(refs))
     return CiderBreakdown(per_n=tuple(per_n), score=scale * math.fsum(per_n) / MAX_ORDER)
 

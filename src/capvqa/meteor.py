@@ -7,18 +7,20 @@ stemming or synonym stages, so scores are reproducible without lexical
 resources.
 
 The alignment maximizes the number of matched unigrams and, among all
-such matchings, minimizes the chunk count. Every pair takes one path. A
-left-to-right greedy pass, which prefers the reference position that
-extends the current chunk, gives the first answer: its matches are
-always the maximum, and its chunks an upper bound. An exact
-branch-and-bound search then looks for a max matching with strictly
-fewer chunks, within a fixed budget of `NODE_BUDGET` search steps per
-pair. The result is exact whenever the search completes, and never
-worse than greedy when it does not. The problem is NP-hard in general
-(minimum common string partition), so some budget is needed; no pair of
-the caption workloads comes near it (a few hundred steps at most), while
-pathological pairs, such as 80 tokens over 4 distinct words, stop at it
-in a few tens of milliseconds.
+such matchings, minimizes the chunk count. A left-to-right greedy pass,
+which prefers the reference position that extends the current chunk,
+gives the first answer: its matches are always the maximum, and its
+chunks an upper bound. When no token repeats in either sequence, the max
+matching is unique (each shared word pairs its one occurrence on each
+side), so greedy's chunks are exact and the pair takes no other step.
+Any other pair goes on to an exact branch-and-bound search for a max
+matching with strictly fewer chunks, within a fixed budget of
+`NODE_BUDGET` search steps per pair. The result is exact whenever the
+search completes, and never worse than greedy when it does not. The
+problem is NP-hard in general (minimum common string partition), so
+some budget is needed; no pair of the caption workloads comes near it (a
+few hundred steps at most), while pathological pairs, such as 80 tokens
+over 4 distinct words, stop at it in a few tens of milliseconds.
 
 The search walks the candidate left to right over every max-cardinality
 matching and no other: a word with c candidate and r reference
@@ -204,9 +206,13 @@ def align(candidate: Sequence[str], reference: Sequence[str]) -> MeteorAlignment
     for j, tok in enumerate(reference):
         ref_positions[tok].append(j)
     matches, chunks = _align_greedy(candidate, reference, ref_positions)
+    # with no token repeated on either side the max matching is unique, so
+    # greedy's chunks are already the fewest: search only otherwise
+    if len(ref_positions) < len(reference) or len(set(candidate)) < len(candidate):
+        chunks = _align_exhaustive(candidate, reference, ref_positions, chunks)
     return MeteorAlignment(
         matches=matches,
-        chunks=_align_exhaustive(candidate, reference, ref_positions, chunks),
+        chunks=chunks,
         candidate_len=len(candidate),
         reference_len=len(reference),
     )

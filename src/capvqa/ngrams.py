@@ -5,7 +5,9 @@ its token alone. A `str` caches its hash, where a tuple hashes its items
 again on every lookup, and scoring looks each gram up several times.
 Tokens from `tokenize` never hold whitespace, so a key names its gram
 uniquely; the public functions that key grams reject a token holding a
-space (`check_tokens`).
+space (`check_tokens`). `ngram_table` counts into plain dicts, which
+scoring reads; `extract_ngrams` and `count_grams`, the IDF's counter,
+return `Counter`s.
 """
 
 from collections import Counter, _count_elements
@@ -38,24 +40,26 @@ def extract_ngrams(tokens: Sequence[str], n: int) -> Counter:
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"n-gram order must be in [1, {MAX_ORDER}], got {n}")
     check_tokens(tokens)
-    return ngram_table(tokens)[n - 1]
+    return Counter(ngram_table(tokens)[n - 1])
 
 
-def ngram_table(tokens: Sequence[str]) -> tuple[Counter, ...]:
+def ngram_table(tokens: Sequence[str]) -> tuple[dict[str, int], ...]:
     """The 1-4-gram counts of `tokens`: index n - 1 holds the order-n counts.
 
-    The tokens must hold no space (`check_tokens`); this is not checked.
+    Each order is a plain dict counting its len(tokens) - n + 1 windows, by
+    `Counter`'s C loop. The tokens must hold no space (`check_tokens`);
+    this is not checked.
     """
     # each order's keys extend the last order's by a space and a token
-    spaced = [" " + token for token in tokens]
+    spaced = list(map(" ".__add__, tokens))
     bigrams = list(map(add, tokens, spaced[1:]))
     trigrams = list(map(add, bigrams, spaced[2:]))
-    return (
-        count_grams(tokens),
-        count_grams(bigrams),
-        count_grams(trigrams),
-        count_grams(map(add, trigrams, spaced[3:])),
-    )
+    table = ({}, {}, {}, {})
+    _count_elements(table[0], tokens)
+    _count_elements(table[1], bigrams)
+    _count_elements(table[2], trigrams)
+    _count_elements(table[3], map(add, trigrams, spaced[3:]))
+    return table
 
 
 def clipped_matches(candidate: Mapping[str, int], references: Sequence[Mapping]) -> int:

@@ -26,7 +26,6 @@ metric); strict completeness checking lives in the CLI via
 
 import math
 from array import array
-from collections import Counter
 from typing import NamedTuple, Sequence
 
 from . import forking
@@ -135,7 +134,7 @@ def _collect_units(gt: ScenarioSet, pred: ScenarioSet) -> dict[str, list[_Unit]]
 def _score_unit(
     unit: _Unit,
     reference: Sequence[str],
-    reference_table: tuple[Counter, ...],
+    reference_table: tuple[dict[str, int], ...],
     idf: CiderCorpusIdf,
     config: ScoringConfig,
 ) -> tuple[float, float, float, float]:
@@ -165,13 +164,14 @@ def _mean(values: Sequence[float]) -> float:
 # Units a forked chunk must hold, or scoring stays serial. On a 2-CPU Xeon
 # KVM guest, forking, piping and reaping a child took 1.8-2.1 ms at a
 # 15-16 MB heap (q1-q3 of 30), and an earlier session measured 6.5-8.6 ms
-# at 62 MB. Tokenizing a candidate and scoring its unit took 0.13-0.14 ms
-# for 10-25 tokens and 0.37-0.40 ms for 40-100 (q1-q3 of 15 runs over the
-# benchmark's seed-1 caption files). A chunk also tokenizes and counts
-# every reference of its splits and builds their IDF, 31-105 us per unit
-# of the split; chunks sharing a split do so at the same time, which costs
-# CPU but no wall time. So a chunk of 64 short units does about 11 ms of
-# work against 2-9 ms of fixed cost; the crossover lies near 10-50 units.
+# at 62 MB. Tokenizing a candidate and scoring its unit took 0.12-0.13 ms
+# for 10-25 tokens and 0.38-0.42 ms for 40-100 (q1-q3 of 15 runs over the
+# benchmark's seed-1 caption files, three times). A chunk also tokenizes
+# and counts every reference of its splits and builds their IDF, 33-113 us
+# per unit of the split; chunks sharing a split do so at the same time,
+# which costs CPU but no wall time. So a chunk of 64 short units does about
+# 10 ms of work against 2-9 ms of fixed cost; the crossover lies near 10-50
+# units.
 MIN_CHUNK_UNITS = 64
 
 

@@ -83,6 +83,30 @@ def test_epsilon_policy_floors_zero_precisions():
     assert result.score > 0.0
 
 
+def test_epsilon_policy_floors_a_long_pair_without_a_shared_fourgram():
+    # 40-plus tokens: the candidate is the reference's first eleven trigrams,
+    # each followed by a word the reference lacks, so every candidate 4-gram
+    # holds that word and p4 is 0, floored, while p1-p3 are not
+    reference = tokenize(
+        "The pedestrian in a red coat waits at the curb while the white van slows down. "
+        "The driver looks left, and the pedestrian starts to cross the road in front of "
+        "the van. A cyclist passes behind the van on the right side."
+    )
+    pieces = [reference[k : k + 3] + ["then"] for k in range(0, 33, 3)]
+    candidate = [token for piece in pieces for token in piece][:-1]
+    c, r = len(candidate), len(reference)
+    assert c >= 40 and "then" not in reference
+    counts = [oracles.clipped_match_count(candidate, [reference], n) for n in range(1, 5)]
+    assert counts[3] == 0 and 0 not in counts[:3]
+    expected = [count / (c - n + 1) for n, count in zip(range(1, 4), counts)] + [EPSILON_FLOOR]
+    bp = math.exp(1.0 - r / c)
+    result = bleu4(candidate, [reference], zero_policy="epsilon")
+    assert list(result.precisions) == expected
+    assert result.brevity_penalty == bp < 1.0
+    assert result.score == pytest.approx(bp * math.prod(expected) ** 0.25, rel=1e-12)
+    assert bleu4(candidate, [reference]).score == 0.0
+
+
 def test_reference_order_never_matters():
     rng = random.Random(4)
     for _ in range(100):

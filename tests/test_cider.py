@@ -270,3 +270,6 @@ def test_cosine_is_bit_identical_to_all_keys_reference(corpus, cand_tokens, ref_
     cand, ref = extract_ngrams(cand_tokens, n), extract_ngrams(ref_tokens, n)
     expected = oracles.cosine_reference(tfidf_weights(cand, n, idf), tfidf_weights(ref, n, idf))
     assert repr(cosine(cand, ref, n, idf, norm(cand, n, idf))) == repr(expected)
+    # the table path `_score_unit` takes, window counts from the caption
+    # lengths, captions shorter than n included
+    assert repr(cider(cand_tokens, [ref_tokens], idf).per_n[n - 1]) == repr(min(expected, 1.0))

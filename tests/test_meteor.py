@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 import time
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 
 import oracles
 from capvqa.meteor import MeteorParams, _align_greedy, align, meteor
+
+# the module itself: the package's `meteor` attribute is the function
+meteor_module = importlib.import_module("capvqa.meteor")
 
 # Hand-applied formula values, confirmed by oracles.meteor_reference:
 # identity of length 3 -> 1 - 0.5*(1/3)**3 = 53/54; fully scrambled -> 0.5;
@@ -220,6 +224,43 @@ def test_unique_matching_pairs_match_brute_force(pair):
     expected = oracles.best_alignment_brute_force(cand, ref)
     assert (result.matches, result.chunks) == expected
     assert _greedy(cand, ref) == expected
+
+
+def test_align_never_searches_when_no_token_repeats(monkeypatch):
+    # every max matching of such a pair is the same one, so greedy's chunks
+    # are exact and the search has nothing to find
+    def search(*args):
+        raise AssertionError(f"searched a pair with no repeated token: {args[:2]}")
+
+    monkeypatch.setattr(meteor_module, "_align_exhaustive", search)
+    rng = random.Random(2028)
+    words = [f"w{k}" for k in range(12)]
+    pairs = [("the red car stopped".split(), "a car red stopped there".split())]
+    pairs += [
+        (rng.sample(words, rng.randint(0, 8)), rng.sample(words, rng.randint(0, 8)))
+        for _ in range(200)
+    ]
+    for cand, ref in pairs:
+        result = align(cand, ref)
+        assert (result.matches, result.chunks) == oracles.best_alignment_brute_force(cand, ref)
+
+
+def test_align_searches_when_a_token_repeats(monkeypatch):
+    # the pair of test_align_prefers_fewer_chunks_at_equal_cardinality:
+    # greedy's three chunks are beaten by the search's two
+    calls = []
+    real = meteor_module._align_exhaustive
+
+    def search(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(meteor_module, "_align_exhaustive", search)
+    cand, ref = "a b a".split(), "a a b".split()
+    assert _greedy(cand, ref) == (3, 3)
+    result = align(cand, ref)
+    assert calls == [(cand, ref)]
+    assert (result.matches, result.chunks) == (3, 2)
 
 
 @settings(max_examples=500, deadline=None)

@@ -97,6 +97,16 @@ def test_clipped_bounds_and_self_saturation():
         assert clipped_matches(cand, [cand]) == cand.total()
 
 
+def test_public_counts_stay_counters():
+    # README's "N-gram keys": `ngram_table` counts into plain dicts, but
+    # `extract_ngrams` and the IDF's document frequencies are Counters
+    tokens = ["the", "red", "car"]
+    assert type(extract_ngrams(tokens, 2)) is Counter
+    assert extract_ngrams(tokens, 2) == Counter({"the red": 1, "red car": 1})
+    idf = compute_idf([[tokens]])
+    assert all(type(idf.df[n]) is Counter for n in range(1, 5))
+
+
 def test_ngram_table_matches_extract_ngrams():
     rng = random.Random(5)
     for _ in range(100):
