@@ -165,12 +165,12 @@ def _mean(values: Sequence[float]) -> float:
 # KVM guest, forking, piping and reaping a child took 1.8-2.1 ms at a
 # 15-16 MB heap (q1-q3 of 30), and an earlier session measured 6.5-8.6 ms
 # at 62 MB. Tokenizing a candidate and scoring its unit took 0.12-0.13 ms
-# for 10-25 tokens and 0.38-0.42 ms for 40-100 (q1-q3 of 15 runs over the
-# benchmark's seed-1 caption files, three times). A chunk also tokenizes
-# and counts every reference of its splits and builds their IDF, 33-113 us
+# for 10-25 tokens and 0.35-0.36 ms for 40-100 (q1-q3 of 15 runs over the
+# benchmark's seed-1 caption files, twice). A chunk also tokenizes and
+# counts every reference of its splits and builds their IDF, 26-88 us
 # per unit of the split; chunks sharing a split do so at the same time,
 # which costs CPU but no wall time. So a chunk of 64 short units does about
-# 10 ms of work against 2-9 ms of fixed cost; the crossover lies near 10-50
+# 9 ms of work against 2-9 ms of fixed cost; the crossover lies near 10-50
 # units.
 MIN_CHUNK_UNITS = 64
 

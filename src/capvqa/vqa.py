@@ -34,14 +34,17 @@ MISSING_POLICIES = ("missing-is-wrong", "strict")
 # Answers a forked chunk of the library's `accuracy` must hold, or it
 # resolves them serially. The command line scores its files in
 # `vqa_shares` instead, and calls `accuracy` only to name a fault in
-# them. An answer takes about 2-4 us, against 0.3 ms for a caption unit.
-# On a 2-CPU Xeon KVM guest holding vqa-bulk's 80 MB heap of loaded
-# items, forking, exiting and reaping a child took 3.5 ms, and each
-# chunk then paid about 0.5 us per answer in copy-on-write faults. Split
-# in two, 10,000 answers lost 2.5 ms and 20,000, 30,000 and 50,000 saved
-# 6.6, 14.5 and 31 ms, so a chunk of 10,000 saves about twice a fork's
-# cost.
-MIN_CHUNK_ANSWERS = 10_000
+# them. An answer takes about 1.5 us, against 0.3 ms for a caption unit:
+# one `_count_correct` over vqa-bulk seed 1's 46,539 answers took 67-87
+# ms on a 2-CPU Xeon KVM guest. An earlier measurement there put
+# forking, exiting and reaping a child holding vqa-bulk's 80 MB heap of
+# loaded items at 3.5 ms, and each chunk pays copy-on-write faults
+# besides. On the first n questions of that file, two chunks against
+# one (median of 41 alternating calls, and how often two were faster)
+# saved 10.2 ms at 25,000 (36 of 41) and 15.1 ms at 30,000 (40), broke
+# even at 20,000 (-0.5 ms, 22), and lost about 3 ms at 10,000. So two
+# chunks start at 25,000.
+MIN_CHUNK_ANSWERS = 12_500
 
 # a strict failure names this many missing ids, so its message stays one short line
 _MISSING_SHOWN = 5
@@ -98,7 +101,10 @@ def _normalize_many(texts: Sequence[str]) -> tuple[str, ...]:
     double space) sends every text of the call through the collapse. On
     16,384 clean ASCII options the checks take about 0.9 ms and save about
     4 ms of collapsing; a call that fails them pays up to the 0.9 ms for
-    nothing.
+    nothing. A call holds the options of many questions (`_joined_options`)
+    or the free-text answers of a chunk (`_count_correct`), so one faulty
+    answer decides for its whole chunk, as one faulty option does for its
+    piece.
     """
     encoded = _delete_punctuation(_SEPARATOR.join(texts).lower())
     parts = encoded.decode("utf-8", "surrogatepass").split(_SEPARATOR)
@@ -197,37 +203,42 @@ def normalize_answer(raw: str, options: Sequence[str]) -> int | None:
     """
     if not options:
         raise ValueError("normalize_answer requires a non-empty option list")
-    return _resolve(raw, "\n".join(_normalize_many(options)))
+    joined = "\n".join(_normalize_many(options))
+    index = _choice(raw, joined)
+    return _match(_normalize_tokens(raw), joined) if index is None else index
 
 
-def _resolve(raw: str, normalized_options: str) -> int | None:
-    """`normalize_answer` against options in the joined form `VqaItem` keeps.
+def _choice(raw: str, normalized_options: str) -> int | None:
+    """The option a choice letter at the start of `raw` names, or None.
 
-    The options are split out of their joined form only when the choice
-    letter rule does not decide. Normalized options hold no newline, so
-    the newlines count the options.
+    Normalized options hold no newline, so the newlines count the options.
     """
     match = _CHOICE_LETTER.match(raw)
     if match and (index := _LETTER_INDEX[match[1]]) <= normalized_options.count("\n"):
         return index
+    return None
 
+
+def _match(answer: str, normalized_options: str) -> int | None:
+    """The option a normalized answer equals or uniquely contains, or NO_ANSWER.
+
+    The options are in the joined form `VqaItem` keeps.
+    """
     options = normalized_options.split("\n")
-    answer = _normalize_tokens(raw)
     if answer in options:
         return options.index(answer)
 
     # an empty option pads to two spaces, which only an empty answer holds,
     # and that answer matched the empty option exactly above
     padded = f" {answer} "
-    contained = [
-        index
-        for index, option in enumerate(options)
+    contained = NO_ANSWER
+    for index, option in enumerate(options):
         # a padded match implies a bare one, which is cheaper to rule out
-        if option in answer and f" {option} " in padded
-    ]
-    if len(contained) == 1:
-        return contained[0]
-    return NO_ANSWER
+        if option in answer and f" {option} " in padded:
+            if contained is not NO_ANSWER:
+                return NO_ANSWER  # a second option: ambiguous
+            contained = index
+    return contained
 
 
 def _count_correct(
@@ -237,11 +248,23 @@ def _count_correct(
 
     The three columns are read in step: question k has answer `raws[k]`,
     options `joined_options[k]` in `_joined_options`'s form, and gold
-    index `golds[k]`.
+    index `golds[k]`. The choice letters are read first; the answers they
+    leave are normalized in one `_normalize_many` call, then matched.
     """
     correct = 0
+    free_raws, free_options, free_golds = [], [], []
     for raw, joined, gold in zip(raws, joined_options, golds):
-        if raw is not None and _resolve(raw, joined) == gold:
+        if raw is None:
+            continue
+        index = _choice(raw, joined)
+        if index is None:
+            free_raws.append(raw)
+            free_options.append(joined)
+            free_golds.append(gold)
+        elif index == gold:
+            correct += 1
+    for answer, joined, gold in zip(_normalize_many(free_raws), free_options, free_golds):
+        if _match(answer, joined) == gold:
             correct += 1
     return correct
 

@@ -308,11 +308,23 @@ def cosine_reference(a, b):
 
 
 # ---------------------------------------------------------------------------
+# caption tokens: each punctuation mark spaced out by one translate table
+
+
+_PUNCTUATION = '.,;:!?"()[]'
+_SEPARATE_TABLE = str.maketrans({c: f" {c} " for c in _PUNCTUATION})
+
+
+def tokenize_reference(text):
+    return text.lower().translate(_SEPARATE_TABLE).split()
+
+
+# ---------------------------------------------------------------------------
 # VQA answer resolution: token tuples compared slice by slice
 
 
 _CHOICE_LETTER = re.compile(r"\s*([A-Za-z])\s*(?:[.):]|$)")
-_STRIP_TABLE = str.maketrans("", "", '.,;:!?"()[]')
+_STRIP_TABLE = str.maketrans("", "", _PUNCTUATION)
 
 
 def _normalize_tokens(text):

@@ -2,7 +2,10 @@ import random
 import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from capvqa.text_norm import PUNCTUATION, tokenize
 
 
@@ -62,3 +65,24 @@ def test_idempotent_on_random_text():
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
         once = tokenize(text)
         assert tokenize(" ".join(once)) == once
+
+
+# Punctuation against letters, cased and not; lone surrogates and a pair
+# written as two code points, which `st.text` never draws; the Greek
+# capital sigma, whose lowercase depends on its neighbours; the dotted
+# capital I, whose lowercase is two code points; and ASCII and Unicode
+# whitespace.
+_PUNCTUATED = st.lists(
+    st.sampled_from([
+        *PUNCTUATION, *PUNCTUATION, "a", "B", "\u00e9", "\u03a3", "\u0130",
+        "\ud800", "\udfff", "\ud83d\ude00", " ", "\t", "\n", "\x1c", "\u00a0", "\u2003",
+        "\u2028", "\u3000",
+    ]),
+    max_size=20,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), _PUNCTUATED))
+def test_tokenize_matches_the_translate_reference(text):
+    assert tokenize(text) == oracles.tokenize_reference(text)

@@ -145,6 +145,64 @@ def test_normalize_answer_matches_slice_reference(case):
     assert normalize_answer(raw, options) == oracles.normalize_answer_reference(raw, options)
 
 
+def _distinct_options(case):
+    options = case[1]
+    return len(options) >= 2 and len(set(map(oracles._normalize_tokens, options))) == len(options)
+
+
+@st.composite
+def _questions_and_answers(draw):
+    """(answer or None, options, gold) per question, answers in one of three forms.
+
+    "drawn" keeps `_answer_and_options`'s answers, which seldom pass
+    `_normalize_many`'s one-pass checks. "clean" swaps each for clean ASCII
+    text, most often an option's normalized tokens, so a batch of them
+    takes the one-pass path. "mixed" is clean but for one answer holding
+    a NUL, a tab or a no-break space, which sends the whole batch down
+    the per-text or the collapsing path.
+    """
+    cases = draw(
+        st.lists(_answer_and_options().filter(_distinct_options), min_size=1, max_size=8)
+    )
+    form = draw(st.sampled_from(["drawn", "clean", "mixed"]))
+    questions = []
+    for raw, options in cases:
+        if form != "drawn":
+            tokens = " ".join(oracles._normalize_tokens(draw(st.sampled_from(options))))
+            clean = [_CLEAN_TEXTS, st.sampled_from(["A", "b)", "C."])]
+            if tokens.isascii():
+                clean += [st.just(tokens), st.just(f"I think {tokens}")]
+            raw = draw(st.one_of(clean))
+        gold = draw(st.integers(0, len(options) - 1))
+        questions.append([raw, options, gold])
+    if form == "mixed":
+        question = questions[draw(st.integers(0, len(questions) - 1))]
+        raw, at = question[0], draw(st.integers(0, len(question[0])))
+        question[0] = raw[:at] + draw(st.sampled_from(["\x00", "\t", "\u00a0"])) + raw[at:]
+    for question in draw(st.sets(st.integers(0, len(questions) - 1), max_size=2)):
+        questions[question][0] = None  # no prediction
+    return questions
+
+
+@settings(max_examples=150, deadline=None)
+@given(_questions_and_answers())
+def test_batched_answers_count_as_the_slice_reference(questions):
+    items, predictions = [], []
+    for k, (raw, options, gold) in enumerate(questions):
+        items.append(VqaItem(f"q{k}", "s/action", "?", options, gold))
+        if raw is not None:
+            predictions.append(VqaPrediction(f"q{k}", raw))
+    expected = sum(
+        raw is not None and oracles.normalize_answer_reference(raw, options) == gold
+        for raw, options, gold in questions
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vqa, "MIN_CHUNK_ANSWERS", 1)
+        for cpus in (1, 2, 3):
+            patch.setattr(forking, "_cpu_count", lambda: cpus)
+            assert accuracy(items, predictions).correct == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(), _TEXTS))
 def test_normalized_text_has_the_strip_tokenizer_tokens(text):
@@ -226,9 +284,10 @@ def test_accuracy_normalizes_each_option_once(monkeypatch):
     original = vqa._normalize_tokens
     monkeypatch.setattr(vqa, "_normalize_tokens", lambda text: calls.append(text) or original(text))
     assert accuracy(items, predictions).correct == expected == 2
-    # accuracy never normalizes an option again; only free-text answers are
-    assert batches == []
-    assert sorted(calls) == sorted(raw for raw in answers if raw != "C")
+    # accuracy never normalizes an option again, and normalizes the
+    # answers the choice letter did not decide in one batch
+    assert batches == [[raw for raw in answers if raw != "C"]]
+    assert calls == []
 
 
 def test_missing_counts_as_wrong_by_default():
@@ -350,30 +409,30 @@ def test_fixtures_and_threaded_callers_resolve_in_place(monkeypatch, forks, fixt
 def test_a_child_that_exits_before_writing_is_resolved_by_the_caller(monkeypatch, forks, bulk):
     monkeypatch.setattr(forking, "_cpu_count", lambda: 1)
     expected = accuracy(*bulk)
-    caller, resolve = os.getpid(), vqa._resolve
+    caller, match = os.getpid(), vqa._match
 
-    def dying(raw, normalized_options):
+    def dying(answer, normalized_options):
         if os.getpid() != caller:
             os._exit(0)  # a clean exit before the count is written
-        return resolve(raw, normalized_options)
+        return match(answer, normalized_options)
 
     monkeypatch.setattr(forking, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(vqa, "_resolve", dying)
+    monkeypatch.setattr(vqa, "_match", dying)
     assert accuracy(*bulk) == expected
     assert len(forks) == 2
     _assert_no_child_left()
 
 
 def test_an_interrupted_caller_leaves_no_child(monkeypatch, forks, bulk):
-    caller, resolve = os.getpid(), vqa._resolve
+    caller, match = os.getpid(), vqa._match
 
-    def interrupted(raw, normalized_options):
+    def interrupted(answer, normalized_options):
         if os.getpid() == caller:
             raise KeyboardInterrupt
-        return resolve(raw, normalized_options)
+        return match(answer, normalized_options)
 
     monkeypatch.setattr(forking, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(vqa, "_resolve", interrupted)
+    monkeypatch.setattr(vqa, "_match", interrupted)
     affinity = os.sched_getaffinity(0)
     with pytest.raises(KeyboardInterrupt):
         accuracy(*bulk)
